@@ -195,18 +195,17 @@ void MultiJobArbiter::RekeyJobCache(ManagedJob& job) const {
   if (!config_.control.enable_decision_cache) {
     return;
   }
-  uint64_t h = HashBytes(&config_.control.slack, sizeof(config_.control.slack));
-  h = HashBytes(&config_.control.prediction_quantile,
-                sizeof(config_.control.prediction_quantile), h);
-  h = HashBytes(&config_.min_tokens_per_job, sizeof(config_.min_tokens_per_job), h);
-  h = HashBytes(&config_.total_tokens, sizeof(config_.total_tokens), h);
-  h = HashBytes(&job.importance, sizeof(job.importance), h);
+  Hasher h;
+  h.Add(config_.control.slack)
+      .Add(config_.control.prediction_quantile)
+      .Add(config_.min_tokens_per_job)
+      .Add(config_.total_tokens)
+      .Add(job.importance);
   for (const auto& knot : job.shifted_utility.knots()) {
-    h = HashBytes(&knot.first, sizeof(knot.first), h);
-    h = HashBytes(&knot.second, sizeof(knot.second), h);
+    h.Add(knot.first).Add(knot.second);
   }
   const int buckets = job.model->table().num_buckets();
-  h = HashBytes(&buckets, sizeof(buckets), h);
+  h.Add(buckets);
   UtilityPlateau plateau = AnalyzePlateau(job.shifted_utility);
   // The scan compares importance-scaled utilities, so the plateau ceiling scales
   // too — and so does the rounding wobble the level-2 margins must absorb. A
@@ -216,7 +215,7 @@ void MultiJobArbiter::RekeyJobCache(ManagedJob& job) const {
     plateau.usable = false;
   }
   plateau.max_utility = job.importance * plateau.max_utility;
-  job.cache.Rekey(h, buckets, plateau);
+  job.cache.Rekey(h.value(), buckets, plateau);
 }
 
 DecisionCacheStats MultiJobArbiter::cache_stats() const {

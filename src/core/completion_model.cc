@@ -1,7 +1,6 @@
 #include "src/core/completion_model.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "src/obs/prof/profiler.h"
@@ -13,24 +12,37 @@ namespace jockey {
 uint64_t CompletionTableCacheKey(const JobGraph& graph, const JobProfile& profile,
                                  const ProgressIndicator& indicator,
                                  const CompletionModelConfig& config) {
-  std::ostringstream desc;
-  desc.precision(17);
-  desc << "jockey-cpa-key-v1\n";
-  desc << graph.ToDot() << '\n';
-  profile.Save(desc);
-  desc << indicator.name() << '\n';
-  for (int a : config.allocation_grid) {
-    desc << a << ',';
+  Hasher h;
+  h.Add("jockey-cpa-key-v2");
+  // The graph: everything ToDot() renders except the derived node width.
+  h.Add(graph.name()).Add(static_cast<uint64_t>(graph.stages().size()));
+  for (const StageSpec& stage : graph.stages()) {
+    h.Add(stage.name).Add(stage.num_tasks).Add(static_cast<uint64_t>(stage.inputs.size()));
+    for (const StageEdge& edge : stage.inputs) {
+      h.Add(edge.from).Add(edge.pattern);
+    }
   }
-  desc << '\n'
-       << config.runs_per_allocation << ' ' << config.num_progress_buckets << ' ' << config.seed
-       << ' ' << config.simulator.inject_failures << ' ' << config.simulator.init_latency_cap_seconds
-       << ' ' << config.simulator.sample_period_seconds;
-  uint64_t key = HashString(desc.str());
-  if (config.cache_extra_tag != 0) {
-    key = HashBytes(&config.cache_extra_tag, sizeof(config.cache_extra_tag), key);
+  // The profile: every field JobProfile::Save writes, raw samples included.
+  h.Add(static_cast<uint64_t>(profile.stages().size()));
+  for (const StageProfile& stage : profile.stages()) {
+    h.Add(stage.num_tasks)
+        .Add(stage.total_exec_seconds)
+        .Add(stage.total_queue_seconds)
+        .Add(stage.max_task_seconds)
+        .Add(stage.failure_prob)
+        .Add(stage.task_runtimes.samples())
+        .Add(stage.queue_times.samples());
   }
-  return key;
+  h.Add(indicator.kind());
+  h.Add(config.allocation_grid)
+      .Add(config.runs_per_allocation)
+      .Add(config.num_progress_buckets)
+      .Add(config.seed)
+      .Add(config.simulator.inject_failures)
+      .Add(config.simulator.init_latency_cap_seconds)
+      .Add(config.simulator.sample_period_seconds)
+      .Add(config.cache_extra_tag);
+  return h.value();
 }
 
 CompletionTable BuildCompletionTable(const JobGraph& graph, const JobProfile& profile,

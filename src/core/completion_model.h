@@ -77,7 +77,14 @@ struct CompletionModelBuildStats {
 
 // The cache key for a build with these exact inputs. Pure: identical inputs hash
 // identically across processes, which is what makes the on-disk cache useful for
-// recurring jobs. `threads` is excluded by design.
+// recurring jobs. Structural ("jockey-cpa-key-v2"): a Hasher (table_cache.h) folds,
+// in order, the graph's name, stage names, task counts and input edges with their
+// patterns; every JobProfile field including the raw task-runtime and queue-time
+// samples; the indicator kind; and the grid, runs, buckets, seed, the simulator's
+// failure/init-latency/sample-period knobs, and `cache_extra_tag`. Excluded by
+// design, since builds are bit-identical across them: `threads`, the simulator's
+// `event_engine`, and the non-model fields `cache_dir`, `cache_max_bytes` and
+// `observer`.
 uint64_t CompletionTableCacheKey(const JobGraph& graph, const JobProfile& profile,
                                  const ProgressIndicator& indicator,
                                  const CompletionModelConfig& config);

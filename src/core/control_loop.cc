@@ -128,20 +128,18 @@ void JockeyController::RekeyCache() {
   if (!config_.enable_decision_cache) {
     return;
   }
-  uint64_t h = HashBytes(&config_.slack, sizeof(config_.slack));
-  h = HashBytes(&config_.prediction_quantile, sizeof(config_.prediction_quantile), h);
-  h = HashBytes(&config_.min_tokens, sizeof(config_.min_tokens), h);
-  h = HashBytes(&config_.max_tokens, sizeof(config_.max_tokens), h);
+  Hasher h;
+  h.Add(config_.slack).Add(config_.prediction_quantile).Add(config_.min_tokens).Add(
+      config_.max_tokens);
   const char degrade_bits = static_cast<char>((config_.enable_degraded_mode ? 1 : 0) |
                                               (config_.enable_model_correction ? 2 : 0));
-  h = HashBytes(&degrade_bits, sizeof(degrade_bits), h);
+  h.Add(degrade_bits);
   for (const auto& knot : shifted_utility_.knots()) {
-    h = HashBytes(&knot.first, sizeof(knot.first), h);
-    h = HashBytes(&knot.second, sizeof(knot.second), h);
+    h.Add(knot.first).Add(knot.second);
   }
   const int buckets = table_ != nullptr ? table_->num_buckets() : 0;
-  h = HashBytes(&buckets, sizeof(buckets), h);
-  if (decision_cache_.Rekey(h, buckets, AnalyzePlateau(shifted_utility_)) &&
+  h.Add(buckets);
+  if (decision_cache_.Rekey(h.value(), buckets, AnalyzePlateau(shifted_utility_)) &&
       cache_invalidations_counter_ != nullptr) {
     ++*cache_invalidations_counter_;
   }

@@ -137,7 +137,7 @@ bool DecisionCache::InvalidateDecisions() {
 }
 
 uint64_t DecisionCache::SignatureFor(int bucket) const {
-  return HashBytes(&bucket, sizeof(bucket), fingerprint_);
+  return Hasher(fingerprint_).Add(bucket).value();
 }
 
 }  // namespace jockey

@@ -1,7 +1,5 @@
 #include "src/core/jockey.h"
 
-#include <sstream>
-
 #include "src/sim/table_cache.h"
 
 namespace jockey {
@@ -27,9 +25,9 @@ void Jockey::Build(const RunTrace* training_trace) {
     // The minstage indicators bake the training trace's stage schedule into their
     // constants, which the cache key cannot see through the profile alone; fold a
     // fingerprint of the trace into the key so a different training run is a miss.
-    std::ostringstream trace_bytes;
-    training_trace->Save(trace_bytes);
-    model_config.cache_extra_tag = HashString(trace_bytes.str());
+    // The fingerprint hashes the trace's saved text, so a tool holding only the
+    // trace file can recompute it.
+    model_config.cache_extra_tag = HashString(training_trace->ToText());
   }
   table_ = std::make_shared<CompletionTable>(
       BuildCompletionTable(*graph_, profile_, *indicator_, model_config, &table_build_stats_));

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 
 namespace jockey {
 
@@ -23,14 +25,58 @@ double RunTrace::TotalQueueSeconds() const {
   return total;
 }
 
-void RunTrace::Save(std::ostream& os) const {
-  os.precision(17);
-  os << "jockey_trace_v1 " << job_name << " " << submit_time << " " << finish_time << " "
-     << tasks.size() << "\n";
-  for (const auto& t : tasks) {
-    os << t.id.stage << " " << t.id.index << " " << t.ready_time << " " << t.start_time
-       << " " << t.end_time << " " << t.failed_attempts << " " << t.wasted_seconds << "\n";
+namespace {
+
+// Appends one number as an ostream at precision(17) prints it: "%.17g" for
+// doubles, plain decimal for integers.
+template <typename T>
+void AppendNumber(std::string& out, T value) {
+  char buf[32];
+  std::to_chars_result r;
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), value);
   }
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
+std::string RunTrace::ToText() const {
+  std::string out;
+  out.reserve(64 + job_name.size() + tasks.size() * 96);
+  out += "jockey_trace_v1 ";
+  out += job_name;
+  out += ' ';
+  AppendNumber(out, submit_time);
+  out += ' ';
+  AppendNumber(out, finish_time);
+  out += ' ';
+  AppendNumber(out, tasks.size());
+  out += '\n';
+  for (const auto& t : tasks) {
+    AppendNumber(out, t.id.stage);
+    out += ' ';
+    AppendNumber(out, t.id.index);
+    out += ' ';
+    AppendNumber(out, t.ready_time);
+    out += ' ';
+    AppendNumber(out, t.start_time);
+    out += ' ';
+    AppendNumber(out, t.end_time);
+    out += ' ';
+    AppendNumber(out, t.failed_attempts);
+    out += ' ';
+    AppendNumber(out, t.wasted_seconds);
+    out += '\n';
+  }
+  return out;
+}
+
+void RunTrace::Save(std::ostream& os) const {
+  const std::string text = ToText();
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 RunTrace RunTrace::Load(std::istream& is) {

@@ -49,7 +49,11 @@ struct RunTrace {
   std::vector<const TaskRecord*> StageRecords(int stage_id) const;
 
   // Text serialization; traces are the historical artifact operators keep between
-  // runs of a recurring job.
+  // runs of a recurring job. ToText() is the one writer: doubles print as printf's
+  // "%.17g" (what an ostream at precision(17) prints, so the text round-trips
+  // exactly), via std::to_chars. Save() writes the same bytes to `os`, and
+  // Jockey::Build fingerprints them.
+  std::string ToText() const;
   void Save(std::ostream& os) const;
   static RunTrace Load(std::istream& is);
 };

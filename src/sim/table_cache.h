@@ -6,8 +6,11 @@
 // frozen table in one file named by a 64-bit FNV-1a key the caller derives from
 // everything the build depends on: the job graph, the (scaled) profile, the progress
 // indicator, and the model configuration (grid, runs, buckets, simulator knobs,
-// seed). Thread count is deliberately NOT part of the key: parallel and serial builds
-// are bit-identical by construction (see completion_model.h), so they share entries.
+// seed). The key is structural: CompletionTableCacheKey streams those fields through
+// a Hasher (below) rather than hashing a formatted description, so fingerprinting a
+// recurring job costs far less than the load it guards. Thread count is deliberately
+// NOT part of the key: parallel and serial builds are bit-identical by construction
+// (see completion_model.h), so they share entries.
 //
 // Every operation returns a CacheStatus carrying a reason code — hit, miss, corrupt,
 // io-error, stored, disabled — instead of a silent bool, and mirrors that outcome
@@ -27,6 +30,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "src/obs/observer.h"
 #include "src/sim/completion_table.h"
@@ -35,10 +41,51 @@ namespace jockey {
 
 class FaultInjector;
 
+inline constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+
 // 64-bit FNV-1a over `bytes`, chained from `seed` (pass the previous hash to fold
 // multiple fields into one key).
-uint64_t HashBytes(const void* data, size_t size, uint64_t seed = 14695981039346656037ULL);
-uint64_t HashString(const std::string& s, uint64_t seed = 14695981039346656037ULL);
+uint64_t HashBytes(const void* data, size_t size, uint64_t seed = kFnvOffsetBasis);
+uint64_t HashString(const std::string& s, uint64_t seed = kFnvOffsetBasis);
+
+// Scalars whose every byte belongs to the value (long double carries padding).
+template <typename T>
+concept HashableScalar =
+    (std::is_arithmetic_v<T> || std::is_enum_v<T>) && !std::is_same_v<T, long double>;
+
+// Folds fields into one FNV-1a hash, in call order. Each Add hashes exactly one
+// field's value bytes — a scalar or enum, a length-prefixed string, or a
+// length-prefixed vector of scalars — never a whole struct, so padding bytes can
+// never enter a fingerprint. Lengths fold as uint64_t. Values fold in host byte
+// order, so fingerprints are stable across processes on one platform (which is
+// all the on-disk cache and the in-memory decision cache need).
+class Hasher {
+ public:
+  explicit Hasher(uint64_t seed = kFnvOffsetBasis) : h_(seed) {}
+
+  template <HashableScalar T>
+  Hasher& Add(T value) {
+    h_ = HashBytes(&value, sizeof(value), h_);
+    return *this;
+  }
+  Hasher& Add(std::string_view s) {
+    Add(static_cast<uint64_t>(s.size()));
+    h_ = HashBytes(s.data(), s.size(), h_);
+    return *this;
+  }
+  template <HashableScalar T>
+    requires(!std::is_same_v<T, bool>)  // std::vector<bool> has no contiguous bytes
+  Hasher& Add(const std::vector<T>& values) {
+    Add(static_cast<uint64_t>(values.size()));
+    h_ = HashBytes(values.data(), values.size() * sizeof(T), h_);
+    return *this;
+  }
+
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_;
+};
 
 // The outcome of one cache operation. `code` reuses the trace-event taxonomy
 // (trace_event.h) so statuses and emitted events can never disagree.

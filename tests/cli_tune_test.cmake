@@ -4,13 +4,15 @@
 # identical output on a rerun (same seed + same ladder -> same ranking).
 set(TRACE ${CMAKE_CURRENT_BINARY_DIR}/cli_tune.trace)
 set(BENCH ${CMAKE_CURRENT_BINARY_DIR}/cli_tune_bench.json)
+set(CACHE_DIR ${CMAKE_CURRENT_BINARY_DIR}/cli_tune_cache)
+file(REMOVE_RECURSE ${CACHE_DIR})
 execute_process(COMMAND ${CLI} train ${SCRIPT} --trace ${TRACE} --tokens 25 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "train failed: ${rc}")
 endif()
 execute_process(COMMAND ${CLI} tune ${SCRIPT} ${TRACE} --deadline 5 --seeds 1
                         --knob-points 2 --classes report_dropout,grant_shortfall
-                        --bench-out ${BENCH}
+                        --bench-out ${BENCH} --cache-dir ${CACHE_DIR}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE first_out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "tune sweep failed: ${rc}\n${first_out}")
@@ -33,7 +35,7 @@ if(NOT bench_json MATCHES "\"bench\":\"tune\"" OR NOT bench_json MATCHES "\"sele
 endif()
 execute_process(COMMAND ${CLI} tune ${SCRIPT} ${TRACE} --deadline 5 --seeds 1
                         --knob-points 2 --classes report_dropout,grant_shortfall
-                        --bench-out ${BENCH}
+                        --bench-out ${BENCH} --cache-dir ${CACHE_DIR}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE second_out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "tune rerun failed: ${rc}")
@@ -43,7 +45,9 @@ if(NOT first_out STREQUAL second_out)
 endif()
 # An unknown class must be rejected, not silently skipped.
 execute_process(COMMAND ${CLI} tune ${SCRIPT} ${TRACE} --deadline 5 --classes disk_melt
+                        --cache-dir ${CACHE_DIR}
                 RESULT_VARIABLE rc ERROR_VARIABLE err_out)
 if(rc EQUAL 0)
   message(FATAL_ERROR "tune accepted an unknown fault class")
 endif()
+file(REMOVE_RECURSE ${CACHE_DIR})

@@ -8,27 +8,26 @@ execute_process(COMMAND ${CLI} train ${SCRIPT} --trace ${TRACE} --tokens 25 RESU
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "train failed: ${rc}")
 endif()
+# The cache banner goes to stderr, so stdout carries only the predictions.
 execute_process(COMMAND ${CLI} predict ${SCRIPT} ${TRACE} --deadline 30 --cache-dir ${CACHE_DIR}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE cold_out)
+                RESULT_VARIABLE rc OUTPUT_VARIABLE cold_out ERROR_VARIABLE cold_err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "predict failed: ${rc}")
 endif()
-if(NOT cold_out MATCHES "simulated [0-9]+ runs")
-  message(FATAL_ERROR "cold predict did not report simulation:\n${cold_out}")
+if(NOT cold_err MATCHES "simulated [0-9]+ runs")
+  message(FATAL_ERROR "cold predict did not report simulation:\n${cold_err}")
 endif()
 execute_process(COMMAND ${CLI} predict ${SCRIPT} ${TRACE} --deadline 30 --cache-dir ${CACHE_DIR}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE warm_out)
+                RESULT_VARIABLE rc OUTPUT_VARIABLE warm_out ERROR_VARIABLE warm_err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "warm predict failed: ${rc}")
 endif()
-if(NOT warm_out MATCHES "warm cache hit")
-  message(FATAL_ERROR "second predict did not hit the table cache:\n${warm_out}")
+if(NOT warm_err MATCHES "warm cache hit")
+  message(FATAL_ERROR "second predict did not hit the table cache:\n${warm_err}")
 endif()
 # The cached table must produce the same predictions as the fresh simulation.
-string(REGEX REPLACE "^[^\n]*\n" "" cold_body "${cold_out}")
-string(REGEX REPLACE "^[^\n]*\n" "" warm_body "${warm_out}")
-if(NOT cold_body STREQUAL warm_body)
-  message(FATAL_ERROR "warm-cache predictions differ from cold run:\n--- cold ---\n${cold_body}\n--- warm ---\n${warm_body}")
+if(NOT cold_out STREQUAL warm_out)
+  message(FATAL_ERROR "warm-cache predictions differ from cold run:\n--- cold ---\n${cold_out}\n--- warm ---\n${warm_out}")
 endif()
 execute_process(COMMAND ${CLI} run ${SCRIPT} ${TRACE} --deadline 30 --cache-dir ${CACHE_DIR}
                 RESULT_VARIABLE rc)

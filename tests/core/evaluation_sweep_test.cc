@@ -11,6 +11,15 @@
 #include "src/workload/job_generator.h"
 
 namespace jockey {
+
+// gtest prints a parameter it cannot format as its raw bytes, and those bytes start
+// with the heap address of `name`'s buffer, so the ctest names found at build time
+// changed from one build to the next. Keep gtest's "N-byte object <...>" form, which
+// leaves existing test names unchanged up to the bytes, but print the job name.
+static void PrintTo(const JobShapeSpec& spec, std::ostream* os) {
+  *os << sizeof(spec) << "-byte object <" << spec.name << ">";
+}
+
 namespace {
 
 class EvaluationSweepTest : public ::testing::TestWithParam<JobShapeSpec> {

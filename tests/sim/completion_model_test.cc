@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/core/jockey.h"
+#include "src/obs/metrics.h"
 #include "src/sim/table_cache.h"
 #include "src/workload/job_generator.h"
 
@@ -196,6 +201,162 @@ TEST(CompletionModelTest, CorruptCacheEntryIsAMissNotACrash) {
   Built rebuilt = Build(47, config, &stats);
   EXPECT_FALSE(stats.cache_hit);  // corrupt entry rebuilt from scratch
   EXPECT_EQ(Serialized(cold.table), Serialized(rebuilt.table));
+  std::filesystem::remove_all(dir);
+}
+
+// --- The structural v2 cache key --------------------------------------------
+
+// A tiny fixed job: three map tasks feeding two reduce tasks through one edge.
+JobGraph TinyGraph(int map_tasks = 3, CommPattern pattern = CommPattern::kAllToAll) {
+  return JobGraph("tiny", {StageSpec{"map", map_tasks, {}},
+                           StageSpec{"reduce", 2, {StageEdge{0, pattern}}}});
+}
+
+RunTrace TinyTrace() {
+  RunTrace trace;
+  trace.job_name = "tiny";
+  for (int i = 0; i < 3; ++i) {
+    trace.tasks.push_back({{0, i}, 0.0, 0.5 * i, 0.5 * i + 2.25 + 0.125 * i, 0, 0.0});
+  }
+  for (int i = 0; i < 2; ++i) {
+    trace.tasks.push_back({{1, i}, 3.5, 4.0 + i, 9.0 + 0.75 * i, i, 0.5 * i});
+  }
+  trace.finish_time = 9.75;
+  return trace;
+}
+
+uint64_t TinyKey(const JobGraph& graph, const JobProfile& profile, IndicatorKind kind,
+                 const CompletionModelConfig& config) {
+  auto indicator = MakeIndicator(kind, graph, profile);
+  return CompletionTableCacheKey(graph, profile, *indicator, config);
+}
+
+// Pins the key of one fixed input, so drift from padding, pointers, iteration
+// order or a changed field list fails loudly. Cached .cpa entries written under
+// the old key would silently stop being hit; change this value only on purpose,
+// with the key's version tag or with CompletionModelConfig's defaults.
+TEST(CompletionTableCacheKeyTest, GoldenValueForTinyJob) {
+  const JobGraph graph = TinyGraph();
+  const JobProfile profile = JobProfile::FromTrace(graph, TinyTrace());
+  EXPECT_EQ(TinyKey(graph, profile, IndicatorKind::kTotalWorkWithQ, CompletionModelConfig()),
+            0x24f70489c3852d09ULL);
+}
+
+TEST(CompletionTableCacheKeyTest, EveryModelInputChangesTheKey) {
+  const JobGraph graph = TinyGraph();
+  const JobProfile profile = JobProfile::FromTrace(graph, TinyTrace());
+  const CompletionModelConfig base_config;
+  const uint64_t base = TinyKey(graph, profile, IndicatorKind::kTotalWorkWithQ, base_config);
+
+  EXPECT_NE(TinyKey(TinyGraph(4), profile, IndicatorKind::kTotalWorkWithQ, base_config), base)
+      << "stage task count";
+  EXPECT_NE(TinyKey(TinyGraph(3, CommPattern::kOneToOne), profile,
+                    IndicatorKind::kTotalWorkWithQ, base_config),
+            base)
+      << "edge pattern";
+
+  // One runtime sample, moved by its last ULP; every aggregate stays as it was.
+  std::vector<StageProfile> stages = profile.stages();
+  std::vector<double> runtimes = stages[1].task_runtimes.samples();
+  runtimes.back() = std::nextafter(runtimes.back(), 1e9);
+  stages[1].task_runtimes = EmpiricalDistribution(runtimes);
+  const JobProfile nudged = JobProfile::FromStages(stages);
+  EXPECT_NE(TinyKey(graph, nudged, IndicatorKind::kTotalWorkWithQ, base_config), base)
+      << "last ULP of one runtime sample";
+
+  EXPECT_NE(TinyKey(graph, profile, IndicatorKind::kVertexFrac, base_config), base)
+      << "indicator kind";
+
+  const std::vector<std::pair<const char*, std::function<void(CompletionModelConfig&)>>>
+      changes = {
+          {"allocation grid", [](CompletionModelConfig& c) { c.allocation_grid.back() += 1; }},
+          {"runs per allocation", [](CompletionModelConfig& c) { ++c.runs_per_allocation; }},
+          {"progress buckets", [](CompletionModelConfig& c) { ++c.num_progress_buckets; }},
+          {"seed", [](CompletionModelConfig& c) { ++c.seed; }},
+          {"inject_failures",
+           [](CompletionModelConfig& c) { c.simulator.inject_failures = false; }},
+          {"init_latency_cap_seconds",
+           [](CompletionModelConfig& c) { c.simulator.init_latency_cap_seconds += 1.0; }},
+          {"sample_period_seconds",
+           [](CompletionModelConfig& c) { c.simulator.sample_period_seconds += 1.0; }},
+          {"cache_extra_tag", [](CompletionModelConfig& c) { c.cache_extra_tag = 1; }},
+      };
+  for (const auto& [what, change] : changes) {
+    CompletionModelConfig config = base_config;
+    change(config);
+    EXPECT_NE(TinyKey(graph, profile, IndicatorKind::kTotalWorkWithQ, config), base) << what;
+  }
+}
+
+TEST(CompletionTableCacheKeyTest, NonModelKnobsLeaveTheKeyUnchanged) {
+  const JobGraph graph = TinyGraph();
+  const JobProfile profile = JobProfile::FromTrace(graph, TinyTrace());
+  const CompletionModelConfig base_config;
+  const uint64_t base = TinyKey(graph, profile, IndicatorKind::kTotalWorkWithQ, base_config);
+
+  NullSink sink;
+  MetricsRegistry metrics;
+  const std::vector<std::pair<const char*, std::function<void(CompletionModelConfig&)>>>
+      changes = {
+          {"threads", [](CompletionModelConfig& c) { c.threads = 3; }},
+          {"cache_dir", [](CompletionModelConfig& c) { c.cache_dir = "/elsewhere"; }},
+          {"cache_max_bytes", [](CompletionModelConfig& c) { c.cache_max_bytes = 4096; }},
+          {"observer", [&](CompletionModelConfig& c) { c.observer = Observer(&sink, &metrics); }},
+          {"event_engine",
+           [](CompletionModelConfig& c) { c.simulator.event_engine = EventEngine::kLegacyHeap; }},
+      };
+  for (const auto& [what, change] : changes) {
+    CompletionModelConfig config = base_config;
+    change(config);
+    EXPECT_EQ(TinyKey(graph, profile, IndicatorKind::kTotalWorkWithQ, config), base) << what;
+  }
+}
+
+// What a tool holding only a Jockey and its training trace does to find the
+// table a build stored: recompute the trace tag as HashString of the saved
+// trace text, then key the Jockey's own graph, profile and indicator.
+TEST(CompletionTableCacheKeyTest, SavedTraceTextAndJockeyInputsFindTheStoredTable) {
+  std::string dir = testing::TempDir() + "jockey_table_cache_probe";
+  std::filesystem::remove_all(dir);
+  JobShapeSpec spec;
+  spec.name = "probe";
+  spec.num_stages = 5;
+  spec.num_barriers = 1;
+  spec.num_vertices = 120;
+  spec.seed = 5;
+  JobTemplate tmpl = GenerateJob(spec);
+  Rng gen(6);
+  RunTrace trace;
+  trace.job_name = "probe";
+  for (int s = 0; s < tmpl.graph.num_stages(); ++s) {
+    for (int i = 0; i < tmpl.graph.stage(s).num_tasks; ++i) {
+      const double start = 0.1 * s;
+      trace.tasks.push_back(
+          {{s, i}, 0.0, start, start + tmpl.runtime[static_cast<size_t>(s)].SampleSeconds(gen),
+           0, 0.0});
+    }
+  }
+  trace.finish_time = 100.0;
+
+  JockeyConfig config;
+  config.indicator = IndicatorKind::kMinStage;  // reads the training trace itself
+  config.model.cache_dir = dir;
+  config.model.runs_per_allocation = 2;
+  Jockey jockey(tmpl.graph, trace, config);
+  ASSERT_FALSE(jockey.table_build_stats().cache_hit);
+
+  std::ostringstream trace_bytes;
+  trace.Save(trace_bytes);
+  CompletionModelConfig model = jockey.config().model;
+  model.cache_extra_tag = HashString(trace_bytes.str());
+  const uint64_t key =
+      CompletionTableCacheKey(jockey.graph(), jockey.profile(), jockey.indicator(), model);
+  TableCache::LoadResult loaded = TableCache(dir).Load(key);
+  ASSERT_TRUE(loaded.table.has_value());
+  EXPECT_EQ(Serialized(*loaded.table), Serialized(jockey.table()));
+
+  Jockey rerun(tmpl.graph, trace, config);
+  EXPECT_TRUE(rerun.table_build_stats().cache_hit);
   std::filesystem::remove_all(dir);
 }
 

@@ -34,7 +34,9 @@ CompletionTable SmallTable(int buckets) {
 class TableCacheTest : public testing::Test {
  protected:
   void SetUp() override {
-    dir_ = testing::TempDir() + "table_cache_status_test";
+    // One directory per test: ctest runs each test as its own process, in parallel.
+    dir_ = testing::TempDir() + "table_cache_status_test_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -199,6 +201,29 @@ TEST_F(TableCacheTest, UnboundedCacheNeverPrunes) {
   for (uint64_t key = 1; key <= 5; ++key) {
     EXPECT_TRUE(fs::exists(cache.PathForKey(key)));
   }
+}
+
+TEST(HasherTest, FoldsTheSameBytesAsChainedHashBytes) {
+  const double slack = 1.25;
+  const int tokens = 40;
+  const char bits = 3;
+  uint64_t chained = HashBytes(&slack, sizeof(slack));
+  chained = HashBytes(&tokens, sizeof(tokens), chained);
+  chained = HashBytes(&bits, sizeof(bits), chained);
+  EXPECT_EQ(Hasher().Add(slack).Add(tokens).Add(bits).value(), chained);
+  EXPECT_EQ(Hasher(chained).Add(tokens).value(), HashBytes(&tokens, sizeof(tokens), chained));
+}
+
+TEST(HasherTest, StringsAndVectorsAreLengthPrefixed) {
+  // Without the prefix, ("ab", "c") and ("a", "bc") would fold the same bytes.
+  EXPECT_NE(Hasher().Add("ab").Add("c").value(), Hasher().Add("a").Add("bc").value());
+  const std::vector<double> a = {1.0, 2.0};
+  const std::vector<double> b = {1.0};
+  const std::vector<double> c = {2.0};
+  EXPECT_NE(Hasher().Add(a).Add(std::vector<double>{}).value(), Hasher().Add(b).Add(c).value());
+  const std::string text = "abc";
+  const uint64_t size = text.size();
+  EXPECT_EQ(Hasher().Add(text).value(), HashString(text, HashBytes(&size, sizeof(size))));
 }
 
 }  // namespace

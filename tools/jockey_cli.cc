@@ -371,13 +371,15 @@ std::optional<Jockey> BuildModel(const PlanResult& plan, const std::string& trac
   config.model.observer = observer;
   Jockey model(plan.job.graph, trace, config);
   const CompletionModelBuildStats& stats = model.table_build_stats();
+  // Cache and thread chatter goes to stderr: stdout must not depend on whether an
+  // earlier process warmed the cache.
   if (stats.cache_hit) {
-    std::printf("C(p,a) table: warm cache hit in %s — skipped simulation\n",
-                global.cache_dir.c_str());
+    std::fprintf(stderr, "C(p,a) table: warm cache hit in %s — skipped simulation\n",
+                 global.cache_dir.c_str());
   } else {
-    std::printf("C(p,a) table: simulated %d runs on %d thread%s%s\n", stats.simulated_runs,
-                stats.threads_used, stats.threads_used == 1 ? "" : "s",
-                global.use_cache ? " (cached for next time)" : "");
+    std::fprintf(stderr, "C(p,a) table: simulated %d runs on %d thread%s%s\n",
+                 stats.simulated_runs, stats.threads_used, stats.threads_used == 1 ? "" : "s",
+                 global.use_cache ? " (cached for next time)" : "");
   }
   return model;
 }
