@@ -19,6 +19,9 @@
 //
 // The caller owns the per-job list of active slots (JobState::active); the arena
 // maintains each slot's position in that list so removal is O(1) swap-remove.
+// The cluster simulator pairs every Allocate / Release with an increment /
+// decrement of its per-task copy count (JobState::running_copies), so it never
+// scans the active list to learn whether a task has another running attempt.
 
 #ifndef SRC_CLUSTER_ATTEMPT_ARENA_H_
 #define SRC_CLUSTER_ATTEMPT_ARENA_H_

@@ -67,24 +67,13 @@ ClusterSimulator::ClusterSimulator(const ClusterConfig& config)
     throw std::invalid_argument("ClusterConfig: " + problem);
   }
   machines_.resize(static_cast<size_t>(config_.num_machines));
+  up_machines_ = config_.num_machines;
   for (auto& m : machines_) {
     m.speed = rng_.LogNormal(0.0, config_.machine_speed_sigma);
   }
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
-
-int ClusterSimulator::TotalUpSlots() const { return UpSlots(); }
-
-int ClusterSimulator::UpSlots() const {
-  int up = 0;
-  for (const auto& m : machines_) {
-    if (m.up) {
-      ++up;
-    }
-  }
-  return up * config_.slots_per_machine;
-}
 
 int ClusterSimulator::SubmitJob(const JobTemplate& job, const JobSubmission& opts) {
   int job_id = static_cast<int>(jobs_.size());
@@ -100,6 +89,7 @@ int ClusterSimulator::SubmitJob(const JobTemplate& job, const JobSubmission& opt
   state.ever_ready.assign(static_cast<size_t>(state.tracker->total_tasks()), false);
   state.stage_exec_stats.resize(static_cast<size_t>(job.graph.num_stages()));
   state.speculation_budget_used.assign(static_cast<size_t>(state.tracker->total_tasks()), 0);
+  state.running_copies.assign(static_cast<size_t>(state.tracker->total_tasks()), 0);
   for (int t = 0; t < state.tracker->total_tasks(); ++t) {
     auto& rec = state.records[static_cast<size_t>(t)];
     rec.id.stage = state.tracker->StageOf(t);
@@ -406,7 +396,7 @@ double ClusterSimulator::CurrentUtilization() const {
     }
   }
   double queued = std::max(0, background_demand_ - background_slots_);
-  int up = UpSlots();
+  int up = TotalUpSlots();
   if (up == 0) {
     return 1.5;
   }
@@ -459,6 +449,7 @@ void ClusterSimulator::StartTask(JobState& job, int job_id, int flat_task, bool 
   AttemptArena::Handle handle =
       arena_.Allocate(job.active, flat_task, machine, eq_.now(), eq_.now() + dispatch,
                       eq_.now() + dispatch + exec, spare, speculative);
+  ++job.running_copies[static_cast<size_t>(flat_task)];
   if (spare) {
     ++job.running_spare;
   } else {
@@ -480,16 +471,6 @@ void ClusterSimulator::StartTask(JobState& job, int job_id, int flat_task, bool 
   eq_.ScheduleAfter(lifetime, ev);
 }
 
-bool ClusterSimulator::HasRunningCopy(const JobState& job, int flat_task,
-                                      uint32_t excluding_slot) const {
-  for (uint32_t slot : job.active) {
-    if (slot != excluding_slot && arena_.flat_task(slot) == flat_task) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void ClusterSimulator::KillAttempt(JobState& job, AttemptArena::Handle handle,
                                    KillReason reason) {
   assert(arena_.Alive(handle));
@@ -509,7 +490,7 @@ void ClusterSimulator::KillAttempt(JobState& job, AttemptArena::Handle handle,
   arena_.Release(handle, job.active);
   // Requeue unless another copy of the task still runs (a killed duplicate must not
   // resurrect a task its primary is already executing, and vice versa).
-  bool requeued = !HasRunningCopy(job, flat_task, kNoSlot);
+  bool requeued = --job.running_copies[static_cast<size_t>(flat_task)] == 0;
   if (requeued) {
     job.pending.push_back(flat_task);
   }
@@ -553,11 +534,14 @@ void ClusterSimulator::OnTaskComplete(int job_id, AttemptArena::Handle handle) {
     ++job.result.speculative_wins;
   }
 
-  // Cancel any other copy of the task; its time is wasted work.
+  // Cancel any other copy of the task; its time is wasted work. Only speculation
+  // makes copies, so the scan runs only when the count says one exists.
   kill_scratch_.clear();
-  for (uint32_t other : job.active) {
-    if (arena_.flat_task(other) == flat_task) {
-      kill_scratch_.push_back(arena_.handle_of(other));
+  if (--job.running_copies[static_cast<size_t>(flat_task)] > 0) {
+    for (uint32_t other : job.active) {
+      if (arena_.flat_task(other) == flat_task) {
+        kill_scratch_.push_back(arena_.handle_of(other));
+      }
     }
   }
   for (AttemptArena::Handle other : kill_scratch_) {
@@ -570,6 +554,7 @@ void ClusterSimulator::OnTaskComplete(int job_id, AttemptArena::Handle handle) {
     job.records[static_cast<size_t>(flat_task)].wasted_seconds +=
         eq_.now() - arena_.attempt_start(other_slot);
     arena_.Release(other, job.active);
+    --job.running_copies[static_cast<size_t>(flat_task)];
   }
 
   auto& rec = job.records[static_cast<size_t>(flat_task)];
@@ -623,7 +608,7 @@ void ClusterSimulator::FinishJob(int job_id) {
 }
 
 void ClusterSimulator::Reschedule() {
-  int up = UpSlots();
+  int up = TotalUpSlots();
   // Background demand is sized against nominal capacity (background work does not
   // vanish when machines fail), granted against what is left after guarantees.
   double utilization = background_.UtilizationAt(eq_.now());
@@ -755,7 +740,7 @@ void ClusterSimulator::SpeculationTick() {
   if (unfinished_jobs_ == 0) {
     return;
   }
-  int up = UpSlots();
+  int up = TotalUpSlots();
   for (size_t id = 0; id < jobs_.size(); ++id) {
     JobState& job = jobs_[id];
     if (!job.started || job.finished) {
@@ -787,7 +772,7 @@ void ClusterSimulator::SpeculationTick() {
       if (elapsed < config_.speculation_slowdown * baseline.mean()) {
         continue;
       }
-      if (HasRunningCopy(job, flat_task, slot)) {
+      if (job.running_copies[static_cast<size_t>(flat_task)] > 1) {
         continue;  // already has a duplicate
       }
       if (job.speculation_budget_used[static_cast<size_t>(flat_task)] >=
@@ -820,6 +805,7 @@ bool ClusterSimulator::FailMachine(int machine, int* killed) {
     return false;
   }
   m.up = false;
+  --up_machines_;
   int total_killed = 0;
   for (auto& job : jobs_) {
     if (!job.started || job.finished) {
@@ -851,6 +837,7 @@ void ClusterSimulator::RecoverMachine(int machine) {
     return;
   }
   m.up = true;
+  ++up_machines_;
   obs_.Emit(eq_.now(), MachineRecoverEvent{machine});
 }
 

@@ -24,6 +24,13 @@
 // generation check and drop. Equal-time events fire in insertion order on either
 // engine, so a seeded run is bit-identical across engines (verified by the
 // engine-differential test).
+//
+// Per-event bookkeeping does not grow with the cluster or the job: the up-machine
+// count is kept by FailMachine / RecoverMachine, each job counts the running copies
+// of every task (only speculation makes a second), and the DAG's one-to-one wake
+// lists are flat CSR arrays (dependency_tracker.h). What still walks a job's
+// attempt list is the newest/oldest selection in Reschedule (demote, promote,
+// evict), machine-failure kills, and the speculation straggler pass.
 
 #ifndef SRC_CLUSTER_CLUSTER_SIMULATOR_H_
 #define SRC_CLUSTER_CLUSTER_SIMULATOR_H_
@@ -146,7 +153,9 @@ class ClusterSimulator {
   void set_timeseries_recorder(TimeSeriesRecorder* recorder) { timeseries_ = recorder; }
 
   SimTime now() const { return eq_.now(); }
-  int TotalUpSlots() const;
+  // Slots on machines that are up. O(1): only FailMachine / RecoverMachine flip a
+  // machine's state, and they keep up_machines_ in step.
+  int TotalUpSlots() const { return up_machines_ * config_.slots_per_machine; }
 
   // Which event engine this run is on, and how many events it has fired — the
   // numerator of BENCH_sim.json's events/s.
@@ -211,6 +220,10 @@ class ClusterSimulator {
     std::vector<RunningStats> stage_exec_stats;
     // Speculative launches already spent per task (caps duplicate churn).
     std::vector<uint8_t> speculation_budget_used;
+    // Running attempts per task: 1 normally, 2 while a speculative duplicate runs.
+    // Incremented at every arena Allocate and decremented at every Release, so
+    // "does another copy run?" is a compare instead of a scan over `active`.
+    std::vector<uint8_t> running_copies;
     int running_guaranteed = 0;
     int running_spare = 0;
     int guaranteed_tokens = 0;
@@ -245,9 +258,6 @@ class ClusterSimulator {
   // requeues the task unless another copy of it is still running. Invalidates the
   // handle.
   void KillAttempt(JobState& job, AttemptArena::Handle handle, KillReason reason);
-  // True if some running attempt of `job` other than `excluding_slot` executes
-  // `flat_task` (pass kNoSlot to consider them all).
-  bool HasRunningCopy(const JobState& job, int flat_task, uint32_t excluding_slot) const;
   void SpeculationTick();
   void FinishJob(int job_id);
   void AccumulateGuaranteedSeconds(JobState& job);
@@ -268,7 +278,6 @@ class ClusterSimulator {
   void ScheduleFaultWindows();
   void ClusterTick();
   void DrainReady(JobState& job);
-  int UpSlots() const;
   double CurrentUtilization() const;
   // Pushes the accumulated tallies_ into the metrics registry and resets them.
   void FlushTallies();
@@ -311,6 +320,7 @@ class ClusterSimulator {
   AttemptArena arena_;
   std::vector<Machine> machines_;
   std::vector<JobState> jobs_;
+  int up_machines_ = 0;  // machines with up == true
   // Reused scratch; keeps DrainReady / machine kills / straggler scans off the
   // allocator inside the event loop.
   std::vector<int> ready_scratch_;

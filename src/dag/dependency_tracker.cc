@@ -19,9 +19,42 @@ DependencyTracker::DependencyTracker(const JobGraph& graph) : graph_(&graph) {
       stage_of_[static_cast<size_t>(task_base_[static_cast<size_t>(s)] + i)] = s;
     }
   }
-  one_to_one_consumers_.resize(static_cast<size_t>(total_tasks_));
   barrier_consumers_.resize(static_cast<size_t>(s_count));
   initial_wait_count_.assign(static_cast<size_t>(total_tasks_), 0);
+
+  // Calls visit(producer, consumer) for every one-to-one dependency, in the order
+  // that fixes each producer's wake order.
+  auto for_each_one_to_one = [&](auto&& visit) {
+    for (int c = 0; c < s_count; ++c) {
+      const StageSpec& consumer = graph.stage(c);
+      for (const StageEdge& edge : consumer.inputs) {
+        if (edge.pattern == CommPattern::kAllToAll) {
+          continue;
+        }
+        for (int i = 0; i < consumer.num_tasks; ++i) {
+          const auto [lo, hi] = graph.InputRange(c, i, edge);
+          for (int p = lo; p < hi; ++p) {
+            visit(FlatId(edge.from, p), FlatId(c, i));
+          }
+        }
+      }
+    }
+  };
+  // Pass 1: count each producer's consumers (offset p + 1) and each consumer's waits.
+  consumer_begin_.assign(static_cast<size_t>(total_tasks_) + 1, 0);
+  for_each_one_to_one([&](int producer, int consumer) {
+    ++consumer_begin_[static_cast<size_t>(producer) + 1];
+    ++initial_wait_count_[static_cast<size_t>(consumer)];
+  });
+  for (size_t t = 0; t < static_cast<size_t>(total_tasks_); ++t) {
+    consumer_begin_[t + 1] += consumer_begin_[t];
+  }
+  // Pass 2: fill, advancing a per-producer cursor.
+  consumers_.resize(static_cast<size_t>(consumer_begin_.back()));
+  std::vector<int> cursor(consumer_begin_.begin(), consumer_begin_.end() - 1);
+  for_each_one_to_one([&](int producer, int consumer) {
+    consumers_[static_cast<size_t>(cursor[static_cast<size_t>(producer)]++)] = consumer;
+  });
 
   for (int c = 0; c < s_count; ++c) {
     const StageSpec& consumer = graph.stage(c);
@@ -30,15 +63,6 @@ DependencyTracker::DependencyTracker(const JobGraph& graph) : graph_(&graph) {
         barrier_consumers_[static_cast<size_t>(edge.from)].push_back(c);
         for (int i = 0; i < consumer.num_tasks; ++i) {
           ++initial_wait_count_[static_cast<size_t>(FlatId(c, i))];
-        }
-      } else {
-        for (int i = 0; i < consumer.num_tasks; ++i) {
-          int consumer_task = FlatId(c, i);
-          for (int p : graph.InputTasksFor(c, i, edge)) {
-            one_to_one_consumers_[static_cast<size_t>(FlatId(edge.from, p))].push_back(
-                consumer_task);
-            ++initial_wait_count_[static_cast<size_t>(consumer_task)];
-          }
         }
       }
     }
@@ -75,7 +99,7 @@ void DependencyTracker::State::MarkDone(int flat_task) {
       }
     }
   }
-  for (int consumer : tracker_->one_to_one_consumers_[static_cast<size_t>(flat_task)]) {
+  for (int consumer : tracker_->ConsumersOf(flat_task)) {
     Unblock(consumer);
   }
 }

@@ -5,12 +5,18 @@
 // (barrier) edges wake every task of the consumer stage only when the producer stage
 // fully completes. A State instance then tracks one execution's completion progress.
 //
+// The one-to-one lists are stored flat (CSR): one offsets array over producer tasks
+// and one array of consumer tasks, built in two passes over the same loop, so a job
+// with thousands of tasks costs two allocations rather than one small vector per
+// task, and MarkDone walks contiguous memory.
+//
 // Used by Jockey's offline job simulator (src/sim/) and by the cluster simulator's
 // per-job manager (src/cluster/) so both enforce identical DAG semantics.
 
 #ifndef SRC_DAG_DEPENDENCY_TRACKER_H_
 #define SRC_DAG_DEPENDENCY_TRACKER_H_
 
+#include <span>
 #include <vector>
 
 #include "src/dag/job_graph.h"
@@ -31,6 +37,13 @@ class DependencyTracker {
     return flat_task - task_base_[static_cast<size_t>(StageOf(flat_task))];
   }
   int StageTotal(int stage) const { return stage_total_[static_cast<size_t>(stage)]; }
+  // Consumer tasks that one-to-one edges wake when `flat_task` completes, in wake
+  // order (consumer stage, then input edge, then consumer task).
+  std::span<const int> ConsumersOf(int flat_task) const {
+    const auto begin = static_cast<size_t>(consumer_begin_[static_cast<size_t>(flat_task)]);
+    const auto end = static_cast<size_t>(consumer_begin_[static_cast<size_t>(flat_task) + 1]);
+    return std::span<const int>(consumers_).subspan(begin, end - begin);
+  }
 
   // Completion state of one execution.
   class State {
@@ -72,8 +85,11 @@ class DependencyTracker {
   std::vector<int> task_base_;
   std::vector<int> stage_of_;
   std::vector<int> stage_total_;
-  std::vector<std::vector<int>> one_to_one_consumers_;  // per flat task
-  std::vector<std::vector<int>> barrier_consumers_;     // per stage
+  // One-to-one wake lists in CSR form: producer p's consumers are
+  // consumers_[consumer_begin_[p], consumer_begin_[p + 1]).
+  std::vector<int> consumer_begin_;  // total_tasks_ + 1 offsets
+  std::vector<int> consumers_;
+  std::vector<std::vector<int>> barrier_consumers_;  // per stage
   std::vector<int> initial_wait_count_;
 };
 

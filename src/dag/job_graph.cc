@@ -164,19 +164,23 @@ double JobGraph::CriticalPath(const std::vector<double>& per_stage_cost) const {
 }
 
 std::vector<int> JobGraph::InputTasksFor(int stage_id, int index, const StageEdge& edge) const {
-  const StageSpec& from = stage(edge.from);
+  const auto [lo, hi] = InputRange(stage_id, index, edge);
   std::vector<int> out;
+  out.reserve(static_cast<size_t>(hi - lo));
+  for (int i = lo; i < hi; ++i) {
+    out.push_back(i);
+  }
+  return out;
+}
+
+std::pair<int, int> JobGraph::InputRange(int stage_id, int index, const StageEdge& edge) const {
+  int n_p = stage(edge.from).num_tasks;
   if (edge.pattern == CommPattern::kAllToAll) {
-    out.reserve(static_cast<size_t>(from.num_tasks));
-    for (int i = 0; i < from.num_tasks; ++i) {
-      out.push_back(i);
-    }
-    return out;
+    return {0, n_p};
   }
   // Proportional slice: consumer task `index` of n_c tasks reads producer tasks in
   // [index * n_p / n_c, (index + 1) * n_p / n_c), at least one task.
   int n_c = stage(stage_id).num_tasks;
-  int n_p = from.num_tasks;
   int lo = static_cast<int>(static_cast<int64_t>(index) * n_p / n_c);
   int hi = static_cast<int>(static_cast<int64_t>(index + 1) * n_p / n_c);
   if (hi <= lo) {
@@ -184,10 +188,7 @@ std::vector<int> JobGraph::InputTasksFor(int stage_id, int index, const StageEdg
   }
   lo = std::min(lo, n_p - 1);
   hi = std::min(hi, n_p);
-  for (int i = lo; i < hi; ++i) {
-    out.push_back(i);
-  }
-  return out;
+  return {lo, hi};
 }
 
 std::string JobGraph::ToDot() const {

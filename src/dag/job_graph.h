@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace jockey {
@@ -103,6 +104,9 @@ class JobGraph {
   // edge `edge`. For kAllToAll this is every producer task; for kOneToOne it is the
   // proportional slice (at least one task).
   std::vector<int> InputTasksFor(int stage_id, int index, const StageEdge& edge) const;
+  // The same producer indices as the half-open range [first, second): they are
+  // always contiguous, so hot callers need not materialize them.
+  std::pair<int, int> InputRange(int stage_id, int index, const StageEdge& edge) const;
 
   // Graphviz rendering in the style of the paper's Fig 3: triangles for full-shuffle
   // (barrier) stages, node size keyed to task count.

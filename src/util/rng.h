@@ -58,9 +58,13 @@ class Rng {
     return Uniform() < p;
   }
 
-  // Normal with the given mean and standard deviation.
+  // Normal with the given mean and standard deviation (>= 0; 0 returns `mean`).
+  // std::normal_distribution forbids stddev 0, so this scales a standard normal
+  // draw instead: the same expression libstdc++ evaluates inside
+  // normal_distribution(mean, stddev), so every stream is bit-identical to it and
+  // the engine advances by the same draws whatever the stddev.
   double Normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
   }
 
   // Log-normal parameterized by the underlying normal's mu and sigma.

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <variant>
 
+#include "src/fault/fault_injector.h"
+#include "src/fault/fault_plan.h"
+#include "src/obs/jsonl.h"
+#include "src/sim/table_cache.h"
 #include "src/workload/job_generator.h"
 
 namespace jockey {
@@ -308,6 +314,120 @@ TEST(ClusterSimulatorTest, SuperHighNeighborSlowsCoLocatedWork) {
         cluster.result(id_victim).CompletionSeconds();
   }
   EXPECT_GT(with_superhigh, with_normal);
+}
+
+// Alternates the guarantee between a high and a low value every tick, so the
+// demotion and promotion scans in Reschedule run on a live attempt list.
+class SeesawController : public JobController {
+ public:
+  ControlDecision OnTick(const JobRuntimeStatus& /*status*/) override {
+    const int tokens = (ticks_++ % 2 == 0) ? 40 : 6;
+    return {tokens, static_cast<double>(tokens)};
+  }
+
+ private:
+  int ticks_ = 0;
+};
+
+// One seeded run through every per-event bookkeeping path of the simulator:
+// speculative duplicates (some win, the losing copies are killed), Poisson machine
+// failures plus a machine_burst window, spare evictions under an overload episode,
+// task failures, and a SuperHigh job beside a controlled normal job. The digest
+// folds every emitted trace event (its JSONL line, which round-trips doubles
+// exactly) and every ClusterRunResult field; any moved scheduler decision or RNG
+// draw changes it.
+TEST(ClusterSimulatorTest, GoldenEventStreamDigest) {
+  JobTemplate normal_job = SmallJob(80);
+  JobTemplate superhigh_job = SmallJob(81);
+  for (JobTemplate* job : {&normal_job, &superhigh_job}) {
+    for (auto& model : job->runtime) {
+      model.outlier_prob = 0.12;  // stragglers, so speculation launches copies
+      model.outlier_alpha = 1.4;
+      model.outlier_cap = 20.0;
+      model.task_cap_seconds = 1e9;
+      model.failure_prob = 0.04;
+    }
+  }
+  ClusterConfig config = QuietCluster(31);
+  config.num_machines = 30;
+  config.machine_failure_rate_per_hour = 1.0;
+  config.machine_recovery_seconds = 120.0;
+  config.background.volatility = 0.05;
+  config.enable_speculation = true;
+  config.speculation_check_period_seconds = 10.0;
+  FaultPlan plan(3);
+  plan.Add(FaultPlan::MachineBurst(100.0, 220.0, 5, 6));
+  FaultInjector injector(plan);
+
+  VectorSink sink;
+  ClusterSimulator cluster(config);
+  cluster.set_observer(Observer(&sink, nullptr));
+  cluster.set_fault_injector(&injector);
+  cluster.background().AddEpisode(150.0, 200.0, 1.2);
+  SeesawController controller;
+  JobSubmission normal;
+  normal.guaranteed_tokens = 20;
+  normal.controller = &controller;
+  normal.control_period_seconds = 30.0;
+  normal.seed = 41;
+  JobSubmission superhigh;
+  superhigh.guaranteed_tokens = 15;
+  superhigh.priority = PriorityClass::kSuperHigh;
+  superhigh.submit_time = 20.0;
+  superhigh.seed = 42;
+  const std::vector<int> ids = {cluster.SubmitJob(normal_job, normal),
+                                cluster.SubmitJob(superhigh_job, superhigh)};
+  cluster.Run();
+
+  Hasher h;
+  h.Add(cluster.events_processed());
+  int bursts = 0;
+  int poisson_failures = 0;
+  for (const TraceEvent& event : sink.events()) {
+    h.Add(ToJsonLine(event));
+    if (std::holds_alternative<FaultInjectedEvent>(event.payload)) {
+      ++bursts;
+    } else if (std::holds_alternative<MachineFailureEvent>(event.payload) &&
+               event.time_seconds != 100.0) {
+      ++poisson_failures;  // the burst downs its machines at t = 100 exactly
+    }
+  }
+  int copy_kills = 0;
+  int evictions = 0;
+  int task_failures = 0;
+  int speculative_wins = 0;
+  for (int id : ids) {
+    const ClusterRunResult& r = cluster.result(id);
+    ASSERT_TRUE(r.finished);
+    h.Add(std::string_view(r.trace.job_name)).Add(r.trace.submit_time).Add(r.trace.finish_time);
+    h.Add(static_cast<uint64_t>(r.trace.tasks.size()));
+    for (const TaskRecord& t : r.trace.tasks) {
+      h.Add(t.id.stage).Add(t.id.index).Add(t.ready_time).Add(t.start_time).Add(t.end_time);
+      h.Add(t.failed_attempts).Add(t.wasted_seconds);
+      if (t.failed_attempts == 0 && t.wasted_seconds > 0.0) {
+        ++copy_kills;  // a cancelled duplicate is the only waste without a failure
+      }
+    }
+    h.Add(static_cast<uint64_t>(r.timeline.size()));
+    for (const AllocationSample& s : r.timeline) {
+      h.Add(s.time).Add(s.guaranteed).Add(s.raw).Add(s.running).Add(s.running_spare);
+    }
+    h.Add(r.guaranteed_token_seconds).Add(r.evictions).Add(r.task_failures);
+    h.Add(r.machine_failure_kills).Add(r.speculative_launched).Add(r.speculative_wins);
+    h.Add(r.max_parallelism).Add(r.spare_task_fraction).Add(r.finished);
+    evictions += r.evictions;
+    task_failures += r.task_failures;
+    speculative_wins += r.speculative_wins;
+  }
+
+  // Every path the digest is meant to pin actually ran.
+  EXPECT_GT(evictions, 0);
+  EXPECT_GT(task_failures, 0);
+  EXPECT_GT(speculative_wins, 0);
+  EXPECT_GT(copy_kills, 0);
+  EXPECT_GT(bursts, 0);
+  EXPECT_GT(poisson_failures, 0);
+  EXPECT_EQ(h.value(), 0x48d86d5ef861de76ull) << std::hex << "0x" << h.value();
 }
 
 TEST(ClusterSimulatorTest, MaxParallelismTracksPeak) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "src/util/stats.h"
@@ -38,6 +41,46 @@ TEST(RngTest, ForkedStreamsAreIndependentOfParentContinuation) {
   Rng parent2(7);
   Rng child2 = parent2.Fork();
   EXPECT_DOUBLE_EQ(c1, child2.Uniform());
+}
+
+TEST(RngTest, NormalIsBitIdenticalToNormalDistribution) {
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {0.0, 0.05}, {3.5, 2.0}, {-7.25, 1e-9}, {1e6, 123.456}, {0.0, 1.2}};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Rng reference(seed);
+    for (int draw = 0; draw < 25; ++draw) {
+      for (const auto& [mean, stddev] : params) {
+        const double got = rng.Normal(mean, stddev);
+        const double want = std::normal_distribution<double>(mean, stddev)(reference.engine());
+        ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "seed " << seed << " mean " << mean << " stddev " << stddev;
+      }
+    }
+    EXPECT_TRUE(rng.engine() == reference.engine()) << "seed " << seed;
+  }
+}
+
+TEST(RngTest, NormalWithZeroStddevReturnsMean) {
+  Rng rng(11);
+  for (double mean : {0.0, 0.5, -3.25, 1e9}) {
+    EXPECT_EQ(rng.Normal(mean, 0.0), mean);
+  }
+}
+
+TEST(RngTest, NormalWithZeroStddevAdvancesTheEngineLikeAnyOther) {
+  // A zero-volatility draw must consume exactly the engine draws a nonzero one
+  // does, or every later draw of a seeded stream would move.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Rng reference(seed);
+    for (int draw = 0; draw < 5; ++draw) {
+      rng.Normal(2.0, 0.0);
+      std::normal_distribution<double>(2.0, 1.0)(reference.engine());
+      ASSERT_TRUE(rng.engine() == reference.engine()) << "seed " << seed;
+    }
+    EXPECT_DOUBLE_EQ(rng.Uniform(), reference.Uniform());
+  }
 }
 
 TEST(RngTest, UniformRange) {

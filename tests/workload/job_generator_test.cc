@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/util/stats.h"
 
 namespace jockey {
+
+// gtest prints a parameter it cannot format as its raw bytes, whose first word is
+// the heap address of `name`'s buffer, so the ctest names found at build time moved
+// with ASLR and the build path. Print the job name in gtest's "N-byte object <...>"
+// form instead (the same printer as evaluation_sweep_test.cc).
+static void PrintTo(const JobShapeSpec& spec, std::ostream* os) {
+  *os << sizeof(spec) << "-byte object <" << spec.name << ">";
+}
+
 namespace {
 
 // Table 2 structural counts must be reproduced exactly.
