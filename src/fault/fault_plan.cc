@@ -1,6 +1,5 @@
 #include "src/fault/fault_plan.h"
 
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -31,23 +30,6 @@ bool FaultKindFromName(const std::string& name, FaultKind* out) {
     return false;
   }
   *out = *kind;
-  return true;
-}
-
-bool ParseDoubleField(const FlatJsonFields& fields, const char* key, double* out) {
-  const std::string* raw = fields.Find(key);
-  if (raw == nullptr) return false;
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool ParseIntField(const FlatJsonFields& fields, const char* key, int* out) {
-  double value = 0.0;
-  if (!ParseDoubleField(fields, key, &value)) return false;
-  *out = static_cast<int>(value);
   return true;
 }
 
@@ -191,43 +173,43 @@ void FaultPlan::Save(std::ostream& os) const {
 std::optional<FaultPlan> FaultPlan::Load(std::istream& is, std::string* error) {
   FaultPlan plan;
   bool saw_header = false;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
+  JsonlLineReader lines(is);
+  FlatJsonFields fields;
+  std::string_view line;
+  while (lines.Next(line)) {
+    const int line_no = lines.line_number();
     if (line.empty()) continue;
-    FlatJsonFields fields;
-    if (!ParseFlatJsonObject(line, fields)) {
+    if (!fields.Parse(line)) {
       return Fail(error, "line " + std::to_string(line_no) + ": malformed JSON");
     }
-    const std::string* kind_name = fields.Find("kind");
-    if (kind_name == nullptr) {
+    const std::string_view* kind_field = fields.Find("kind");
+    if (kind_field == nullptr) {
       return Fail(error, "line " + std::to_string(line_no) + ": missing \"kind\"");
     }
-    if (*kind_name == "fault_plan") {
+    const std::string kind_name(*kind_field);
+    if (kind_name == "fault_plan") {
       double seed = 0.0;
-      if (!ParseDoubleField(fields, "seed", &seed) || seed < 0.0) {
+      if (!fields.Number("seed", seed) || seed < 0.0 || !TruncateTo(seed, plan.seed_)) {
         return Fail(error, "line " + std::to_string(line_no) + ": bad plan seed");
       }
-      plan.seed_ = static_cast<uint64_t>(seed);
       saw_header = true;
       continue;
     }
     FaultWindow w;
-    if (!FaultKindFromName(*kind_name, &w.kind)) {
+    if (!FaultKindFromName(kind_name, &w.kind)) {
       return Fail(error, "line " + std::to_string(line_no) + ": unknown fault kind \"" +
-                             *kind_name + "\"");
+                             kind_name + "\"");
     }
-    if (!ParseDoubleField(fields, "start", &w.start_seconds) ||
-        !ParseDoubleField(fields, "end", &w.end_seconds)) {
+    if (!fields.Number("start", w.start_seconds) || !fields.Number("end", w.end_seconds)) {
       return Fail(error, "line " + std::to_string(line_no) + ": missing start/end");
     }
     // Optional fields keep hand-written plans terse; defaults match FaultWindow.
-    ParseIntField(fields, "job", &w.job);
-    ParseDoubleField(fields, "magnitude", &w.magnitude);
-    ParseIntField(fields, "first_machine", &w.first_machine);
-    ParseIntField(fields, "machine_count", &w.machine_count);
-    ParseDoubleField(fields, "period", &w.period_seconds);
+    // A malformed optional field keeps its default too.
+    fields.Integer("job", w.job);
+    fields.Number("magnitude", w.magnitude);
+    fields.Integer("first_machine", w.first_machine);
+    fields.Integer("machine_count", w.machine_count);
+    fields.Number("period", w.period_seconds);
     plan.windows_.push_back(w);
   }
   if (!saw_header && plan.windows_.empty()) {

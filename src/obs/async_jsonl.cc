@@ -96,9 +96,12 @@ void AsyncJsonlSink::WriterLoop() {
       queued_.pop_front();
       writing_ = true;
     }
+    text_.clear();
     for (const TraceEvent& event : batch) {
-      *os_ << ToJsonLine(event) << '\n';
+      AppendJsonLine(text_, event);
+      text_.push_back('\n');
     }
+    os_->write(text_.data(), static_cast<std::streamsize>(text_.size()));
     batch.clear();
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -7,16 +7,16 @@
 //   simulation thread          writer thread
 //   ----------------          -------------
 //   append event copy to      wait for a published batch
-//   the active buffer;        format each event with ToJsonLine
-//   every batch_events,       and append to the stream;
-//   publish the buffer        recycle the drained buffer
-//   (one mutex hop) and
-//   continue on a recycled
+//   the active buffer;        append every event's line
+//   every batch_events,       (AppendJsonLine) to one reused
+//   publish the buffer        text buffer, hand it to the
+//   (one mutex hop) and       stream in one write, and
+//   continue on a recycled    recycle the drained buffer
 //   buffer
 //
 // Output is byte-identical to JsonlSink over the same event sequence: events are
 // buffered in emission order, batches queue in order, and one writer formats them
-// in order with the same ToJsonLine. The destructor publishes the tail, joins the
+// in order with the same AppendJsonLine. The destructor publishes the tail, joins the
 // writer, and flushes the stream — dropping the sink never drops trace lines.
 //
 // Threading contract (the documented exception to observer.h's "sinks are not
@@ -30,6 +30,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,6 +76,7 @@ class AsyncJsonlSink final : public ObserverSink {
   std::condition_variable idle_cv_;  // wakes Flush(): everything drained
   std::deque<std::vector<TraceEvent>> queued_;
   std::vector<std::vector<TraceEvent>> spare_;  // drained buffers for reuse
+  std::string text_;  // writer-only: one batch's formatted lines
   bool writing_ = false;
   bool stop_ = false;
 

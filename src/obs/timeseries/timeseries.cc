@@ -1,7 +1,6 @@
 #include "src/obs/timeseries/timeseries.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -240,44 +239,14 @@ struct LineCtx {
   const FlatJsonFields& fields;
   std::string error;  // first missing/malformed field
 
-  bool Num(const char* key, double& out) {
-    const std::string* v = fields.Find(key);
-    if (v == nullptr) {
-      return Fail(key);
-    }
-    char* end = nullptr;
-    out = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0') {
-      return Fail(key);
-    }
-    return true;
+  bool Num(const char* key, double& out) { return fields.Number(key, out) || Fail(key); }
+  template <typename T>
+  bool Int(const char* key, T& out) {
+    return fields.Integer(key, out) || Fail(key);
   }
-  bool Int(const char* key, int& out) {
-    double d = 0.0;
-    if (!Num(key, d)) {
-      return false;
-    }
-    out = static_cast<int>(d);
-    return true;
-  }
-  bool Int64(const char* key, int64_t& out) {
-    double d = 0.0;
-    if (!Num(key, d)) {
-      return false;
-    }
-    out = static_cast<int64_t>(d);
-    return true;
-  }
-  bool Bool(const char* key, bool& out) {
-    const std::string* v = fields.Find(key);
-    if (v == nullptr || (*v != "true" && *v != "false")) {
-      return Fail(key);
-    }
-    out = (*v == "true");
-    return true;
-  }
+  bool Bool(const char* key, bool& out) { return fields.Bool(key, out) || Fail(key); }
   bool State(const char* key, SloState& out) {
-    const std::string* v = fields.Find(key);
+    const std::string_view* v = fields.Find(key);
     if (v == nullptr) {
       return Fail(key);
     }
@@ -313,23 +282,22 @@ JobTimeline& JobIn(RunTimeline& run, int job) {
 TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
   TimeSeriesReadResult result;
   TimeSeries series;
-  std::string line;
-  int line_number = 0;
+  JsonlLineReader lines(is);
+  FlatJsonFields fields;
+  std::string_view line;
   auto fail = [&](const std::string& message) {
-    result.line = line_number;
+    result.line = lines.line_number();
     result.message = message;
     return result;
   };
-  while (std::getline(is, line)) {
-    ++line_number;
+  while (lines.Next(line)) {
     if (line.empty()) {
       continue;
     }
-    FlatJsonFields fields;
-    if (!ParseFlatJsonObject(line, fields)) {
+    if (!fields.Parse(line)) {
       return fail("malformed JSON object");
     }
-    const std::string* kind = fields.Find("kind");
+    const std::string_view* kind = fields.Find("kind");
     if (kind == nullptr) {
       return fail("missing kind");
     }
@@ -344,7 +312,7 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
       double deadline = 0.0;
       if (!ctx.Int("run", run.run) || !ctx.Num("period", period) ||
           !ctx.Num("deadline", deadline) ||
-          !ctx.Int64("cluster_dropped", run.dropped_cluster_samples)) {
+          !ctx.Int("cluster_dropped", run.dropped_cluster_samples)) {
         return fail(ctx.error);
       }
       if (run.run != static_cast<int>(series.runs.size())) {
@@ -402,11 +370,11 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
           !ctx.Bool("finished", timeline.finished) ||
           !ctx.Num("completion", timeline.completion_seconds) ||
           !ctx.State("final", timeline.final_state) ||
-          !ctx.Int64("dropped", timeline.dropped_samples)) {
+          !ctx.Int("dropped", timeline.dropped_samples)) {
         return fail(ctx.error);
       }
     } else {
-      return fail("unknown kind '" + *kind + "'");
+      return fail("unknown kind '" + std::string(*kind) + "'");
     }
   }
   result.series = std::move(series);
