@@ -117,7 +117,8 @@ class ClusterSimulator {
   ClusterSimulator(const ClusterSimulator&) = delete;
   ClusterSimulator& operator=(const ClusterSimulator&) = delete;
 
-  // Registers a job. Must be called before Run(). Returns the job id.
+  // Registers a job. Must be called before Run(). Returns the job id. The simulator
+  // keeps a pointer to `job`, which must outlive it.
   int SubmitJob(const JobTemplate& job, const JobSubmission& opts);
 
   // Runs until every submitted job finishes or the wall of simulated time is hit.

@@ -17,6 +17,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/observer.h"
 #include "src/workload/job_generator.h"
+#include "tests/test_temp_dir.h"
 
 namespace jockey {
 namespace {
@@ -193,7 +194,8 @@ std::string SerializedClusterTrace(uint64_t seed, MetricsRegistry* metrics) {
   JobSubmission submission;
   submission.guaranteed_tokens = 6;
   submission.seed = 77;
-  int id = cluster.SubmitJob(SmallJob(), submission);
+  JobTemplate job = SmallJob();  // the simulator keeps a pointer to it
+  int id = cluster.SubmitJob(job, submission);
   cluster.Run();
   EXPECT_TRUE(cluster.result(id).finished);
   std::string out;
@@ -223,7 +225,8 @@ TEST(TraceDeterminismTest, CountersMatchClusterRunResult) {
   JobSubmission submission;
   submission.guaranteed_tokens = 6;
   submission.seed = 31;
-  int id = cluster.SubmitJob(SmallJob(), submission);
+  JobTemplate job = SmallJob();  // the simulator keeps a pointer to it
+  int id = cluster.SubmitJob(job, submission);
   cluster.Run();
   const ClusterRunResult& r = cluster.result(id);
   ASSERT_TRUE(r.finished);
@@ -279,10 +282,8 @@ std::string SerializedBuildTrace(int threads, const std::string& cache_dir) {
 // The offline build fans across worker threads, but its trace (cache traffic, at
 // simulated time 0) must not depend on the thread count — workers never emit.
 TEST(TraceDeterminismTest, ModelBuildTraceIndependentOfThreadCount) {
-  std::string dir_a = testing::TempDir() + "obs_build_trace_a";
-  std::string dir_b = testing::TempDir() + "obs_build_trace_b";
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
+  std::string dir_a = UniqueTempDir("obs_build_trace_a");
+  std::string dir_b = UniqueTempDir("obs_build_trace_b");
   std::string serial = SerializedBuildTrace(1, dir_a);
   std::string parallel = SerializedBuildTrace(8, dir_b);
   EXPECT_FALSE(serial.empty());

@@ -16,6 +16,7 @@
 #include "src/obs/metrics.h"
 #include "src/sim/table_cache.h"
 #include "src/workload/job_generator.h"
+#include "tests/test_temp_dir.h"
 
 namespace jockey {
 namespace {
@@ -158,8 +159,7 @@ TEST(CompletionModelTest, BuildStatsReportThreadsAndRuns) {
 }
 
 TEST(CompletionModelTest, PersistentCacheHitSkipsSimulationAndMatchesBytes) {
-  std::string dir = testing::TempDir() + "jockey_table_cache_test";
-  std::filesystem::remove_all(dir);
+  std::string dir = UniqueTempDir("jockey_table_cache_test");
 
   CompletionModelConfig config;
   config.cache_dir = dir;
@@ -184,8 +184,7 @@ TEST(CompletionModelTest, PersistentCacheHitSkipsSimulationAndMatchesBytes) {
 }
 
 TEST(CompletionModelTest, CorruptCacheEntryIsAMissNotACrash) {
-  std::string dir = testing::TempDir() + "jockey_table_cache_corrupt";
-  std::filesystem::remove_all(dir);
+  std::string dir = UniqueTempDir("jockey_table_cache_corrupt");
   CompletionModelConfig config;
   config.cache_dir = dir;
   Built cold = Build(47, config);
@@ -316,8 +315,7 @@ TEST(CompletionTableCacheKeyTest, NonModelKnobsLeaveTheKeyUnchanged) {
 // table a build stored: recompute the trace tag as HashString of the saved
 // trace text, then key the Jockey's own graph, profile and indicator.
 TEST(CompletionTableCacheKeyTest, SavedTraceTextAndJockeyInputsFindTheStoredTable) {
-  std::string dir = testing::TempDir() + "jockey_table_cache_probe";
-  std::filesystem::remove_all(dir);
+  std::string dir = UniqueTempDir("jockey_table_cache_probe");
   JobShapeSpec spec;
   spec.name = "probe";
   spec.num_stages = 5;

@@ -14,6 +14,7 @@
 #include "src/obs/jsonl.h"
 #include "src/obs/metrics.h"
 #include "src/obs/observer.h"
+#include "tests/test_temp_dir.h"
 
 namespace jockey {
 namespace {
@@ -34,10 +35,10 @@ CompletionTable SmallTable(int buckets) {
 class TableCacheTest : public testing::Test {
  protected:
   void SetUp() override {
-    // One directory per test: ctest runs each test as its own process, in parallel.
-    dir_ = testing::TempDir() + "table_cache_status_test_" +
-           testing::UnitTest::GetInstance()->current_test_info()->name();
-    fs::remove_all(dir_);
+    // One directory per test process: ctest runs each test as its own process, in
+    // parallel, and possibly from several build trees at once.
+    dir_ = UniqueTempDir(std::string("table_cache_status_test_") +
+                         testing::UnitTest::GetInstance()->current_test_info()->name());
   }
   void TearDown() override { fs::remove_all(dir_); }
 
