@@ -1399,8 +1399,9 @@ int CmdReport(int argc, char** argv, const std::string& trace_path) {
       std::fprintf(stderr, "cannot write %s\n", jsonl_out.c_str());
       return 1;
     }
+    JsonlSink sink(out);
     for (const TraceEvent& event : trace.events) {
-      out << ToJsonLine(event) << '\n';
+      sink.OnEvent(event);
     }
     std::printf("trace re-emitted to %s\n", jsonl_out.c_str());
   }
