@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -28,26 +29,11 @@
 #include "src/obs/prof/profiler.h"
 #include "src/sim/job_simulator.h"
 #include "src/util/calendar_queue.h"
-#include "src/util/event_queue.h"
 #include "src/util/thread_pool.h"
 #include "src/workload/job_generator.h"
 
 namespace jockey {
 namespace {
-
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    EventQueue eq;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      eq.ScheduleAt(static_cast<double>(i % 100), [&fired]() { ++fired; });
-    }
-    eq.RunAll();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleRun);
 
 // Shared fixture data built once.
 struct SimFixture {
@@ -689,14 +675,12 @@ void WritePostmortemReport(const char* path) {
 // Event-engine throughput report (BENCH_sim.json), three sections:
 //
 //  1. queue — the hold model (pop one event, schedule its successor) on a fixed
-//     seeded workload, run through the legacy closure EventQueue (std::function
+//     seeded workload, run through a legacy closure queue (std::function
 //     payloads: one heap allocation + type-erased dispatch per event, 48-byte heap
 //     nodes) and through the typed engines in calendar_queue.h. The acceptance bar
 //     lives here: the calendar engine must clear >= 3x the legacy queue's events/s.
-//  2. cluster — full ClusterSimulator runs on the calendar vs the typed-heap
-//     engine, reporting events/s (via events_processed()) and tasks/s. The queue is
-//     only part of that loop, so this speedup is reported for the trajectory, not
-//     gated.
+//  2. cluster — full ClusterSimulator runs, reporting events/s (via
+//     events_processed()) and tasks/s. Reported for the trajectory, not gated.
 //  3. async_sink — the hot-loop cost AsyncJsonlSink adds to the simulation thread
 //     vs a detached observer, same paired-median methodology as BENCH_obs.json,
 //     <= 2% budget on the control-tick hot path, measured in producer-thread CPU
@@ -740,8 +724,8 @@ void WriteSimReport(const char* path) {
     uint64_t handle = 0;
   };
 
-  auto typed_hold_ns = [&](EventEngine engine) {
-    SimEventQueue<HoldEvent> q(engine);
+  // Takes an empty queue of either typed engine.
+  auto typed_hold_ns = [&](auto q) {
     size_t di = 0;
     for (int i = 0; i < kHoldPending; ++i) {
       q.ScheduleAt(delays[di++], HoldEvent{i, 2 * i, static_cast<uint64_t>(i)});
@@ -762,21 +746,40 @@ void WriteSimReport(const char* path) {
     return ns;
   };
 
-  // The closure arm replicates what the simulators used to schedule: a lambda over
-  // this + job/task ids + an attempt handle (24 bytes of captures — past
-  // std::function's SBO, so every event heap-allocates exactly like the old
-  // ClusterSimulator task-end closures did).
+  // The closure arm replicates the queue the simulators used to run on: a vector
+  // heap of std::function callbacks in the same (when, insertion-seq) order. Each
+  // callback is a lambda over this + job/task ids + an attempt handle (24 bytes of
+  // captures — past std::function's SBO, so every event heap-allocates exactly like
+  // the old ClusterSimulator task-end closures did).
+  struct ClosureEvent {
+    SimTime when;
+    uint64_t seq;
+    std::function<void()> cb;
+  };
   struct ClosureHold {
-    EventQueue eq;
+    std::vector<ClosureEvent> heap;
+    SimTime now = 0.0;
+    uint64_t next_seq = 0;
     const std::vector<double>& delays;
     size_t di = 0;
     uint64_t checksum = 0;
     explicit ClosureHold(const std::vector<double>& d) : delays(d) {}
+    static bool Later(const ClosureEvent& a, const ClosureEvent& b) {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
     void Schedule(int32_t a, int32_t b, uint64_t handle) {
-      eq.ScheduleAt(eq.now() + delays[di++], [this, a, b, handle]() {
-        checksum += handle;
-        Schedule(a, b, handle + 1);
-      });
+      heap.push_back(ClosureEvent{now + delays[di++], next_seq++, [this, a, b, handle]() {
+                                    checksum += handle;
+                                    Schedule(a, b, handle + 1);
+                                  }});
+      std::push_heap(heap.begin(), heap.end(), Later);
+    }
+    void Step() {
+      std::pop_heap(heap.begin(), heap.end(), Later);
+      ClosureEvent ev = std::move(heap.back());
+      heap.pop_back();
+      now = ev.when;
+      ev.cb();
     }
   };
   auto closure_hold_ns = [&]() {
@@ -786,7 +789,7 @@ void WriteSimReport(const char* path) {
     }
     auto start = std::chrono::steady_clock::now();
     for (int fired = 0; fired < kHoldEvents; ++fired) {
-      hold.eq.Step();
+      hold.Step();
     }
     double ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
                     .count() /
@@ -813,22 +816,22 @@ void WriteSimReport(const char* path) {
     double cal;
     if (rep % 2 == 0) {
       lc = closure_hold_ns();
-      cal = typed_hold_ns(EventEngine::kCalendar);
+      cal = typed_hold_ns(CalendarQueue<HoldEvent>());
     } else {
-      cal = typed_hold_ns(EventEngine::kCalendar);
+      cal = typed_hold_ns(CalendarQueue<HoldEvent>());
       lc = closure_hold_ns();
     }
-    heap_ns = std::min(heap_ns, typed_hold_ns(EventEngine::kLegacyHeap));
+    heap_ns = std::min(heap_ns, typed_hold_ns(HeapEventQueue<HoldEvent>()));
     queue_ratios.push_back(lc / cal);
     closure_ns = std::min(closure_ns, lc);
     calendar_ns = std::min(calendar_ns, cal);
   }
   double queue_speedup = median(queue_ratios);
 
-  // --- Section 2: full cluster-sim runs on each engine ---------------------
+  // --- Section 2: full cluster-sim runs ------------------------------------
   uint64_t cluster_events = 0;
   uint64_t cluster_tasks = 0;
-  auto cluster_rep_ms = [&](EventEngine engine) {
+  auto cluster_rep_ms = [&]() {
     cluster_events = 0;
     cluster_tasks = 0;
     auto start = std::chrono::steady_clock::now();
@@ -836,7 +839,6 @@ void WriteSimReport(const char* path) {
       ClusterConfig config;
       config.num_machines = 50;
       config.seed = 11 + static_cast<uint64_t>(job);
-      config.event_engine = engine;
       ClusterSimulator cluster(config);
       JobSubmission submission;
       submission.guaranteed_tokens = 40;
@@ -852,27 +854,11 @@ void WriteSimReport(const char* path) {
 
   constexpr int kClusterReps = 21;
   double cluster_cal_ms = 1e300;
-  double cluster_heap_ms = 1e300;
-  std::vector<double> cluster_ratios;
   for (int rep = 0; rep < kClusterReps; ++rep) {
-    double ch;
-    double cc;
-    if (rep % 2 == 0) {
-      ch = cluster_rep_ms(EventEngine::kLegacyHeap);
-      cc = cluster_rep_ms(EventEngine::kCalendar);
-    } else {
-      cc = cluster_rep_ms(EventEngine::kCalendar);
-      ch = cluster_rep_ms(EventEngine::kLegacyHeap);
-    }
-    cluster_ratios.push_back(ch / cc);
-    cluster_cal_ms = std::min(cluster_cal_ms, cc);
-    cluster_heap_ms = std::min(cluster_heap_ms, ch);
+    cluster_cal_ms = std::min(cluster_cal_ms, cluster_rep_ms());
   }
-  double cluster_speedup = median(cluster_ratios);
   double cluster_cal_eps = static_cast<double>(cluster_events) / (cluster_cal_ms / 1000.0);
-  double cluster_heap_eps = static_cast<double>(cluster_events) / (cluster_heap_ms / 1000.0);
   double cluster_cal_tps = static_cast<double>(cluster_tasks) / (cluster_cal_ms / 1000.0);
-  double cluster_heap_tps = static_cast<double>(cluster_tasks) / (cluster_heap_ms / 1000.0);
 
   // --- Section 3: async sink hot-loop overhead -----------------------------
   // The contract bounds what the SIMULATION THREAD pays per event: an append into
@@ -1048,10 +1034,9 @@ void WriteSimReport(const char* path) {
       "    \"speedup_floor\": 3.0\n"
       "  },\n"
       "  \"cluster\": {\n"
-      "    \"run_ms\": {\"legacy_heap\": %.3f, \"calendar\": %.3f},\n"
-      "    \"events_per_sec\": {\"legacy_heap\": %.0f, \"calendar\": %.0f},\n"
-      "    \"tasks_per_sec\": {\"legacy_heap\": %.0f, \"calendar\": %.0f},\n"
-      "    \"calendar_speedup\": %.3f\n"
+      "    \"run_ms\": {\"calendar\": %.3f},\n"
+      "    \"events_per_sec\": {\"calendar\": %.0f},\n"
+      "    \"tasks_per_sec\": {\"calendar\": %.0f}\n"
       "  },\n"
       "  \"async_sink\": {\n"
       "    \"methodology\": \"producer-thread CPU time, warmed sink at default batch, "
@@ -1065,18 +1050,16 @@ void WriteSimReport(const char* path) {
       "  }\n"
       "}\n",
       ThreadPool::DefaultThreadCount(), kHoldPending, closure_ns, heap_ns, calendar_ns,
-      1e9 / closure_ns, 1e9 / heap_ns, 1e9 / calendar_ns, queue_speedup, cluster_heap_ms / 3.0,
-      cluster_cal_ms / 3.0, cluster_heap_eps, cluster_cal_eps, cluster_heap_tps, cluster_cal_tps,
-      cluster_speedup, tick_detached_ns, tick_async_ns, async_tick_overhead_pct,
+      1e9 / closure_ns, 1e9 / heap_ns, 1e9 / calendar_ns, queue_speedup, cluster_cal_ms / 3.0,
+      cluster_cal_eps, cluster_cal_tps, tick_detached_ns, tick_async_ns, async_tick_overhead_pct,
       cluster_detached_cpu_ms / 3.0, cluster_async_cpu_ms / 3.0, async_cluster_overhead_pct,
       traced_sync_ms / 3.0, traced_async_ms / 3.0);
   std::fclose(out);
   std::printf("BENCH_sim.json: queue %.0f ns/event legacy / %.0f ns calendar (%.2fx), "
-              "cluster %.2fM events/s calendar vs %.2fM heap (%.2fx), "
+              "cluster %.2fM events/s, "
               "async sink %+.2f%% tick hot-loop (%+.2f%% cluster producer CPU)\n",
               closure_ns, calendar_ns, queue_speedup, cluster_cal_eps / 1e6,
-              cluster_heap_eps / 1e6, cluster_speedup, async_tick_overhead_pct,
-              async_cluster_overhead_pct);
+              async_tick_overhead_pct, async_cluster_overhead_pct);
 }
 
 // Wall-clock report for the control-plane decision cache (BENCH_control.json): a

@@ -30,7 +30,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 
 namespace jockey {
 

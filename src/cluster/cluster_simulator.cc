@@ -59,7 +59,6 @@ std::string ValidateClusterConfig(const ClusterConfig& config) {
 
 ClusterSimulator::ClusterSimulator(const ClusterConfig& config)
     : config_(config),
-      eq_(config.event_engine),
       rng_(config.seed),
       background_(config.background, Rng(config.seed).Fork()) {
   const std::string problem = ValidateClusterConfig(config);
@@ -921,6 +920,7 @@ void ClusterSimulator::Run(double max_seconds) {
   SimEvent ev;
   while (unfinished_jobs_ > 0 && !eq_.empty() && eq_.now() < max_seconds) {
     eq_.PopNext(ev);
+    ++events_processed_;
     Dispatch(ev);
   }
   FlushTallies();

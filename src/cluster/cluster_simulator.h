@@ -16,14 +16,13 @@
 // the controller's only actuator is the job's guaranteed-token count — exactly
 // Jockey's mechanism (Section 2.6).
 //
-// Engine: the event loop runs on a typed SimEventQueue (calendar queue by default,
-// selectable via ClusterConfig::event_engine) dispatching small POD event records —
-// no per-event allocation, no type-erased calls. Attempt state lives in a
-// struct-of-arrays arena (attempt_arena.h) keyed by generation-checked handles;
-// stale timer events (the attempt completed or was killed first) fail the
-// generation check and drop. Equal-time events fire in insertion order on either
-// engine, so a seeded run is bit-identical across engines (verified by the
-// engine-differential test).
+// Engine: the event loop runs on a CalendarQueue (calendar_queue.h) dispatching
+// small POD event records — no per-event allocation, no type-erased calls. Attempt
+// state lives in a struct-of-arrays arena (attempt_arena.h) keyed by
+// generation-checked handles; stale timer events (the attempt completed or was
+// killed first) fail the generation check and drop. Equal-time events fire in
+// insertion order, so a seeded run is deterministic; the golden event-stream
+// digest test pins it.
 //
 // Per-event bookkeeping does not grow with the cluster or the job: the up-machine
 // count is kept by FailMachine / RecoverMachine, each job counts the running copies
@@ -46,7 +45,7 @@
 #include "src/obs/observer.h"
 #include "src/dag/trace.h"
 #include "src/util/calendar_queue.h"
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/background_load.h"
@@ -158,10 +157,8 @@ class ClusterSimulator {
   // machine's state, and they keep up_machines_ in step.
   int TotalUpSlots() const { return up_machines_ * config_.slots_per_machine; }
 
-  // Which event engine this run is on, and how many events it has fired — the
-  // numerator of BENCH_sim.json's events/s.
-  EventEngine event_engine() const { return eq_.engine(); }
-  uint64_t events_processed() const { return eq_.popped(); }
+  // How many events the run has fired — the numerator of BENCH_sim.json's events/s.
+  uint64_t events_processed() const { return events_processed_; }
 
  private:
   // One queued occurrence: a 24-byte POD record the event loop switches on.
@@ -315,7 +312,8 @@ class ClusterSimulator {
   // Pre-resolved histogram slots (one name lookup at attach, none per event).
   Histogram* exec_seconds_hist_ = nullptr;
   Histogram* completion_seconds_hist_ = nullptr;
-  SimEventQueue<SimEvent> eq_;
+  CalendarQueue<SimEvent> eq_;
+  uint64_t events_processed_ = 0;
   Rng rng_;
   BackgroundLoad background_;
   AttemptArena arena_;

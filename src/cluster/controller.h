@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 
 namespace jockey {
 

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "src/core/jockey.h"
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 
 namespace jockey {
 

@@ -82,9 +82,8 @@ struct CompletionModelBuildStats {
 // patterns; every JobProfile field including the raw task-runtime and queue-time
 // samples; the indicator kind; and the grid, runs, buckets, seed, the simulator's
 // failure/init-latency/sample-period knobs, and `cache_extra_tag`. Excluded by
-// design, since builds are bit-identical across them: `threads`, the simulator's
-// `event_engine`, and the non-model fields `cache_dir`, `cache_max_bytes` and
-// `observer`.
+// design, since builds are bit-identical across them: `threads` and the non-model
+// fields `cache_dir`, `cache_max_bytes` and `observer`.
 uint64_t CompletionTableCacheKey(const JobGraph& graph, const JobProfile& profile,
                                  const ProgressIndicator& indicator,
                                  const CompletionModelConfig& config);

@@ -137,7 +137,6 @@ ExperimentResult RunExperiment(const TrainedJob& job, const ExperimentOptions& o
     Rng weather_rng(options.seed * 6364136223846793005ULL + 1442695040888963407ULL);
     cluster_config.background.mean_utilization = weather_rng.Uniform(0.88, 1.12);
   }
-  cluster_config.event_engine = options.event_engine;
   ClusterSimulator cluster(cluster_config);
   if (options.overload.has_value()) {
     cluster.background().AddEpisode(options.overload->start_seconds,

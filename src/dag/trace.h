@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/dag/job_graph.h"
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 
 namespace jockey {
 

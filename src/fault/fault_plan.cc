@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "src/obs/json_format.h"
 #include "src/obs/jsonl.h"
@@ -203,13 +204,22 @@ std::optional<FaultPlan> FaultPlan::Load(std::istream& is, std::string* error) {
     if (!fields.Number("start", w.start_seconds) || !fields.Number("end", w.end_seconds)) {
       return Fail(error, "line " + std::to_string(line_no) + ": missing start/end");
     }
-    // Optional fields keep hand-written plans terse; defaults match FaultWindow.
-    // A malformed optional field keeps its default too.
-    fields.Integer("job", w.job);
-    fields.Number("magnitude", w.magnitude);
-    fields.Integer("first_machine", w.first_machine);
-    fields.Integer("machine_count", w.machine_count);
-    fields.Number("period", w.period_seconds);
+    // Optional fields keep hand-written plans terse: an absent one keeps its
+    // FaultWindow default (a lookup of a missing key writes nothing), and a present
+    // one must parse ("job":"x" is not "every job").
+    const std::pair<const char*, bool> optional_fields[] = {
+        {"job", fields.Integer("job", w.job)},
+        {"magnitude", fields.Number("magnitude", w.magnitude)},
+        {"first_machine", fields.Integer("first_machine", w.first_machine)},
+        {"machine_count", fields.Integer("machine_count", w.machine_count)},
+        {"period", fields.Number("period", w.period_seconds)},
+    };
+    for (const auto& [key, parsed] : optional_fields) {
+      if (!parsed && fields.Find(key) != nullptr) {
+        return Fail(error,
+                    "line " + std::to_string(line_no) + ": malformed \"" + key + "\"");
+      }
+    }
     plan.windows_.push_back(w);
   }
   if (!saw_header && plan.windows_.empty()) {

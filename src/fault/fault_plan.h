@@ -112,7 +112,9 @@ class FaultPlan {
   // JSONL: a {"kind":"fault_plan","seed":N} header line, then one window per line.
   void Save(std::ostream& os) const;
   // Inverse of Save. Returns nullopt (and sets *error when given) on malformed
-  // lines, unknown kinds, or a plan that fails Validate().
+  // lines, unknown kinds, or a plan that fails Validate(). A window line may omit
+  // job, magnitude, first_machine, machine_count and period (they keep their
+  // FaultWindow defaults), but one that is present must parse.
   static std::optional<FaultPlan> Load(std::istream& is, std::string* error = nullptr);
 
  private:

@@ -75,7 +75,6 @@ ExperimentOptions BuildOptions(const ScenarioSpec& spec, const WorkloadEntrySpec
   options.input_scale = entry.input_scale.value_or(spec.input_scale.value_or(1.0));
   options.jitter_input = entry.jitter_input.value_or(spec.jitter_input);
   options.use_spare_tokens = spec.use_spare_tokens;
-  options.event_engine = spec.engine;
   if (spec.fixed_tokens.has_value()) {
     options.fixed_tokens = *spec.fixed_tokens;
   }

@@ -766,17 +766,6 @@ bool ParseScenario(const DocNode& root, ScenarioSpec* out, ScenarioParseIssue* i
       return false;
     }
   }
-  if (const DocNode* engine = map.Get("engine")) {
-    std::string token;
-    if (!ReadString(*engine, "engine", &token, issue)) {
-      return false;
-    }
-    std::optional<EventEngine> parsed = ParseEventEngine(token);
-    if (!parsed.has_value()) {
-      return Fail(issue, engine->line, "engine", "unknown engine \"" + token + "\"");
-    }
-    out->engine = *parsed;
-  }
   if (const DocNode* jitter = map.Get("jitter_input")) {
     if (!ReadBool(*jitter, "jitter_input", &out->jitter_input, issue)) {
       return false;
@@ -1072,7 +1061,6 @@ std::string WriteScenarioJson(const ScenarioSpec& spec) {
   std::ostringstream os;
   os << "{\"name\":" << JsonString(spec.name) << ",\"seed\":" << spec.seed
      << ",\"repeats\":" << spec.repeats << ",\"policy\":" << JsonString(PolicyId(spec.policy))
-     << ",\"engine\":" << JsonString(EventEngineName(spec.engine))
      << ",\"jitter_input\":" << (spec.jitter_input ? "true" : "false")
      << ",\"hardened\":" << (spec.hardened ? "true" : "false")
      << ",\"use_spare_tokens\":" << (spec.use_spare_tokens ? "true" : "false");

@@ -26,6 +26,19 @@ bool ReadPod(std::istream& is, T* value) {
   return is.good();
 }
 
+// Bytes between the read position and the end of `is`; nullopt if it cannot seek.
+std::optional<uint64_t> BytesLeft(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1) || !is.seekg(0, std::ios::end)) {
+    return std::nullopt;
+  }
+  const std::istream::pos_type end = is.tellg();
+  if (end == std::istream::pos_type(-1) || !is.seekg(here) || end < here) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(end - here);
+}
+
 }  // namespace
 
 CompletionTable::CompletionTable(std::vector<int> allocations, int num_buckets)
@@ -227,6 +240,16 @@ std::optional<CompletionTable> CompletionTable::Load(std::istream& is) {
       num_allocs == 0 || num_buckets > 1u << 20 || num_allocs > 1u << 20) {
     return std::nullopt;
   }
+  // Everything after this point must fit in the stream before anything is sized
+  // from the header: the grid, the two sample counts, the samples, and one
+  // (offset, count) pair per cell. The factors are bounded above, so no sum wraps.
+  const std::optional<uint64_t> left = BytesLeft(is);
+  const uint64_t num_cells = uint64_t{num_buckets} * num_allocs;
+  const uint64_t fixed_bytes = uint64_t{num_allocs} * sizeof(int32_t) + 2 * sizeof(uint64_t) +
+                               num_cells * 2 * sizeof(uint64_t);
+  if (!left.has_value() || fixed_bytes > *left) {
+    return std::nullopt;
+  }
   std::vector<int> allocations(num_allocs);
   for (uint32_t i = 0; i < num_allocs; ++i) {
     int32_t a = 0;
@@ -238,7 +261,8 @@ std::optional<CompletionTable> CompletionTable::Load(std::istream& is) {
   uint64_t total_samples = 0;
   uint64_t buffer_size = 0;
   if (!ReadPod(is, &total_samples) || !ReadPod(is, &buffer_size) ||
-      buffer_size > (1ull << 32) || total_samples > buffer_size) {
+      buffer_size > (1ull << 32) || total_samples > buffer_size ||
+      fixed_bytes + buffer_size * sizeof(double) > *left) {
     return std::nullopt;
   }
   CompletionTable table(std::move(allocations), static_cast<int>(num_buckets));
@@ -248,7 +272,6 @@ std::optional<CompletionTable> CompletionTable::Load(std::istream& is) {
   if (!is.good() && buffer_size > 0) {
     return std::nullopt;
   }
-  size_t num_cells = static_cast<size_t>(num_buckets) * num_allocs;
   table.frozen_cells_.resize(num_cells);
   for (size_t i = 0; i < num_cells; ++i) {
     uint64_t offset = 0;

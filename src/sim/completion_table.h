@@ -73,8 +73,9 @@ class CompletionTable {
   void SaveSummary(std::ostream& os, const std::vector<double>& quantiles) const;
 
   // Binary serialization of the frozen representation (requires frozen()). Load
-  // returns nullopt on malformed or truncated input. Save(Load(x)) == x, and a loaded
-  // table predicts bit-identically to the one saved.
+  // returns nullopt on malformed or truncated input, and on a stream it cannot seek:
+  // it allocates nothing until the bytes the header promises are known to be there.
+  // Save(Load(x)) == x, and a loaded table predicts bit-identically to the one saved.
   void Save(std::ostream& os) const;
   static std::optional<CompletionTable> Load(std::istream& is);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/util/calendar_queue.h"
+
 namespace jockey {
 
 namespace {
@@ -22,7 +24,7 @@ SimRunResult JobSimulator::Run(int allocation, Rng& rng,
   assert(allocation >= 1);
   int s_count = graph_->num_stages();
 
-  SimEventQueue<int32_t> eq(config_.event_engine);
+  CalendarQueue<int32_t> eq;
   DependencyTracker::State state(tracker_);
   int free_slots = allocation;
   double finish_time = 0.0;

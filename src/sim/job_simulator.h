@@ -21,8 +21,7 @@
 #include "src/dag/dependency_tracker.h"
 #include "src/dag/job_graph.h"
 #include "src/dag/profile.h"
-#include "src/util/calendar_queue.h"
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 #include "src/util/rng.h"
 
 namespace jockey {
@@ -36,9 +35,6 @@ struct JobSimulatorConfig {
   double init_latency_cap_seconds = 8.0;
   // Period at which the progress callback fires.
   double sample_period_seconds = 15.0;
-  // Which event-queue engine Run() uses. Bit-identical results on either; the
-  // legacy heap is kept for differential tests and the BENCH_sim.json baseline.
-  EventEngine event_engine = EventEngine::kCalendar;
 };
 
 // Result of one simulated execution.
@@ -63,8 +59,9 @@ class JobSimulator {
   JobSimulator(const JobGraph& graph, const JobProfile& profile,
                JobSimulatorConfig config = JobSimulatorConfig());
 
-  // Simulates one execution with `allocation` tokens (concurrent task slots).
-  // Requires allocation >= 1. Deterministic for a fixed rng state.
+  // Simulates one execution with `allocation` tokens (concurrent task slots) on a
+  // CalendarQueue of task-end and progress-sample events. Requires
+  // allocation >= 1. Deterministic for a fixed rng state.
   SimRunResult Run(int allocation, Rng& rng, const ProgressCallback& on_progress = nullptr) const;
 
   const JobGraph& graph() const { return *graph_; }

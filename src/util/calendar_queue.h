@@ -1,5 +1,4 @@
-// Typed discrete-event queues: the fleet-scale replacement for the closure-based
-// EventQueue (event_queue.h).
+// Typed discrete-event queues.
 //
 // Both simulators schedule small POD event records instead of type-erased
 // std::function callbacks, so scheduling an event allocates nothing and firing one
@@ -16,16 +15,17 @@
 //    pointer chase per bucket. Buckets double/halve and the bucket width
 //    re-derives from observed inter-event gaps whenever occupancy drifts, so
 //    enqueue/dequeue stay O(1) amortized across workloads with second-scale and
-//    hour-scale horizons alike.
+//    hour-scale horizons alike. The one production engine: ClusterSimulator and
+//    JobSimulator each hold one directly.
 //  * HeapEventQueue — a typed binary heap (std::push_heap/pop_heap over a vector),
-//    algorithmically the legacy engine minus the per-event allocation. Retained as
-//    the reference for the engine-differential determinism test and for the
-//    BENCH_sim.json speedup trajectory.
+//    the obvious implementation of the same order. No production code holds one:
+//    it is the oracle CalendarQueueTest.LockstepDifferentialAgainstHeapEngine
+//    pops against, and BENCH_sim.json's typed_heap arm.
 //
-// Determinism contract (identical to the legacy queue, verified by the
-// differential test): events fire in strictly increasing (when, insertion-seq)
+// Determinism contract: events fire in strictly increasing (when, insertion-seq)
 // order, so equal-time events fire in insertion order. Both engines implement
-// exactly this total order — a seeded simulation is bit-identical on either.
+// exactly this total order; the lockstep test checks it, and
+// ClusterSimulatorTest.GoldenEventStreamDigest pins a seeded simulation's stream.
 
 #ifndef SRC_UTIL_CALENDAR_QUEUE_H_
 #define SRC_UTIL_CALENDAR_QUEUE_H_
@@ -34,42 +34,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "src/util/event_queue.h"  // SimTime
+#include "src/util/sim_time.h"
 
 namespace jockey {
-
-// Which queue implementation a simulator runs on. kCalendar is the default;
-// kLegacyHeap exists for differential tests and benchmark baselines.
-enum class EventEngine {
-  kCalendar,
-  kLegacyHeap,
-};
-
-inline const char* EventEngineName(EventEngine engine) {
-  switch (engine) {
-    case EventEngine::kCalendar:
-      return "calendar";
-    case EventEngine::kLegacyHeap:
-      return "legacy_heap";
-  }
-  return "unknown";
-}
-
-// Inverse of EventEngineName — the one registry scenario files, CLI flags and
-// JSON output share. Returns nullopt for an unknown token.
-inline std::optional<EventEngine> ParseEventEngine(const std::string& token) {
-  for (EventEngine engine : {EventEngine::kCalendar, EventEngine::kLegacyHeap}) {
-    if (token == EventEngineName(engine)) {
-      return engine;
-    }
-  }
-  return std::nullopt;
-}
 
 namespace internal {
 
@@ -92,7 +62,7 @@ inline bool FiresBefore(const TimedEvent<Payload>& a, const TimedEvent<Payload>&
 }  // namespace internal
 
 // Typed binary-heap event queue. Same total order as CalendarQueue; kept as the
-// reference engine (see file comment).
+// test oracle and benchmark baseline (see file comment).
 template <typename Payload>
 class HeapEventQueue {
  public:
@@ -144,6 +114,10 @@ class CalendarQueue {
     if (size_ > 2 * bucket_count_) {
       Rebuild(2 * bucket_count_);
     }
+  }
+  // Exactly ScheduleAt(now() + delay, payload).
+  void ScheduleAfter(SimTime delay, Payload payload) {
+    ScheduleAt(now_ + delay, std::move(payload));
   }
 
   // Pops the earliest event, advancing now() to its time. False when empty.
@@ -389,53 +363,6 @@ class CalendarQueue {
   std::vector<uint8_t> counts_;
   std::vector<Bucket> spill_;
   std::vector<Node> overflow_;
-};
-
-// Runtime-selectable engine with one predictable branch per operation. The
-// simulators hold this so a single ClusterConfig/JobSimulatorConfig field flips a
-// run between engines (the differential determinism test runs both and compares
-// traces byte-for-byte).
-template <typename Payload>
-class SimEventQueue {
- public:
-  explicit SimEventQueue(EventEngine engine = EventEngine::kCalendar) : engine_(engine) {}
-
-  void ScheduleAt(SimTime when, Payload payload) {
-    if (engine_ == EventEngine::kCalendar) {
-      calendar_.ScheduleAt(when, std::move(payload));
-    } else {
-      heap_.ScheduleAt(when, std::move(payload));
-    }
-  }
-  void ScheduleAfter(SimTime delay, Payload payload) {
-    ScheduleAt(now() + delay, std::move(payload));
-  }
-
-  bool PopNext(Payload& out) {
-    bool popped = engine_ == EventEngine::kCalendar ? calendar_.PopNext(out)
-                                                    : heap_.PopNext(out);
-    popped_ += popped ? 1 : 0;
-    return popped;
-  }
-
-  EventEngine engine() const { return engine_; }
-  SimTime now() const {
-    return engine_ == EventEngine::kCalendar ? calendar_.now() : heap_.now();
-  }
-  bool empty() const {
-    return engine_ == EventEngine::kCalendar ? calendar_.empty() : heap_.empty();
-  }
-  size_t pending() const {
-    return engine_ == EventEngine::kCalendar ? calendar_.pending() : heap_.pending();
-  }
-  // Total events fired so far — the numerator of BENCH_sim.json's events/s.
-  uint64_t popped() const { return popped_; }
-
- private:
-  EventEngine engine_;
-  uint64_t popped_ = 0;
-  CalendarQueue<Payload> calendar_;
-  HeapEventQueue<Payload> heap_;
 };
 
 }  // namespace jockey

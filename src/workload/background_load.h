@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 #include "src/util/rng.h"
 
 namespace jockey {

@@ -12,7 +12,7 @@
 
 #include <vector>
 
-#include "src/util/event_queue.h"
+#include "src/util/sim_time.h"
 #include "src/util/rng.h"
 
 namespace jockey {

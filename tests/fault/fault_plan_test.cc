@@ -155,6 +155,29 @@ TEST(FaultPlanTest, LoadToleratesTerseHandWrittenLines) {
   EXPECT_EQ(plan->windows()[0].job, -1);
 }
 
+TEST(FaultPlanTest, LoadRejectsMalformedOptionalFields) {
+  // A present optional field that does not parse fails the load with its line; it
+  // must not fall back to the default (job -1 targets every job).
+  for (const char* job : {"\"x\"", "1e300", "nan"}) {
+    std::istringstream in(std::string("{\"kind\":\"fault_plan\",\"seed\":7}\n"
+                                      "{\"kind\":\"report_dropout\",\"start\":0,\"end\":60,"
+                                      "\"job\":") +
+                          job + "}\n");
+    std::string error;
+    EXPECT_FALSE(FaultPlan::Load(in, &error).has_value()) << job;
+    EXPECT_EQ(error, "line 2: malformed \"job\"") << job;
+  }
+  // An absent optional field still keeps its default.
+  std::istringstream in(
+      "{\"kind\":\"report_dropout\",\"start\":0,\"end\":60,\"magnitude\":0.5}\n");
+  std::string error;
+  std::optional<FaultPlan> plan = FaultPlan::Load(in, &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  ASSERT_EQ(plan->windows().size(), 1u);
+  EXPECT_EQ(plan->windows()[0].job, -1);
+  EXPECT_EQ(plan->windows()[0].magnitude, 0.5);
+}
+
 TEST(FaultPlanTest, LoadRejectsGarbage) {
   std::string error;
 

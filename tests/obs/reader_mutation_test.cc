@@ -1,6 +1,8 @@
 // Seeded byte-mutation test over the three flat-JSONL readers: the trace reader
 // (ReadJsonlTrace), the fault-plan loader (FaultPlan::Load) and the time-series
-// loader (ReadTimeSeriesJsonl).
+// loader (ReadTimeSeriesJsonl); and over the binary C(p,a) table loader
+// (CompletionTable::Load), whose mutants include headers that promise far more
+// samples or cells than the blob holds.
 //
 // Each checked-in corpus under tests/data/mutation/ is mutated deterministically
 // (bit flips, inserted, deleted and duplicated bytes, truncation, swapped digits and
@@ -23,6 +25,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/obs/jsonl.h"
 #include "src/obs/timeseries/timeseries.h"
+#include "src/sim/completion_table.h"
 #include "src/sim/table_cache.h"
 
 namespace jockey {
@@ -171,6 +174,20 @@ void FoldTimeSeriesVerdict(const std::string& text, Hasher& h, Tally& tally) {
   }
 }
 
+void FoldTableVerdict(const std::string& bytes, Hasher& h, Tally& tally) {
+  std::istringstream in(bytes, std::ios::binary);
+  std::optional<CompletionTable> table = CompletionTable::Load(in);
+  h.Add(table.has_value());
+  if (table.has_value()) {
+    std::ostringstream out(std::ios::binary);
+    table->Save(out);
+    h.Add(out.str());
+    tally.accepted++;
+  } else {
+    tally.rejected++;
+  }
+}
+
 template <typename Fold>
 uint64_t MutationDigest(const std::string& corpus, uint64_t seed, Fold fold, Tally& tally) {
   Hasher h;
@@ -213,6 +230,14 @@ TEST(ReaderMutationTest, CorporaRoundTripAndCoverEveryKind) {
   std::ostringstream series_out;
   WriteTimeSeriesJsonl(series_out, *series.series);
   EXPECT_EQ(series_out.str(), series_text);
+
+  const std::string table_bytes = ReadCorpus("table.cpa");
+  std::istringstream table_in(table_bytes, std::ios::binary);
+  std::optional<CompletionTable> table = CompletionTable::Load(table_in);
+  ASSERT_TRUE(table.has_value());
+  std::ostringstream table_out(std::ios::binary);
+  table->Save(table_out);
+  EXPECT_EQ(table_out.str(), table_bytes);
 }
 
 TEST(ReaderMutationTest, TraceReaderVerdictsArePinned) {
@@ -230,7 +255,7 @@ TEST(ReaderMutationTest, FaultPlanLoaderVerdictsArePinned) {
       MutationDigest(ReadCorpus("fault_plan.jsonl"), 2, FoldFaultPlanVerdict, tally);
   EXPECT_GT(tally.accepted, 0);
   EXPECT_GT(tally.rejected, 0);
-  EXPECT_EQ(digest, 0x47fdda28b5c2dac1ULL) << std::hex << digest << std::dec << " accepted "
+  EXPECT_EQ(digest, 0xeba292bec401a023ULL) << std::hex << digest << std::dec << " accepted "
                             << tally.accepted << " rejected " << tally.rejected;
 }
 
@@ -241,6 +266,15 @@ TEST(ReaderMutationTest, TimeSeriesLoaderVerdictsArePinned) {
   EXPECT_GT(tally.accepted, 0);
   EXPECT_GT(tally.rejected, 0);
   EXPECT_EQ(digest, 0x987464d7452adb76ULL) << std::hex << digest << std::dec << " accepted "
+                            << tally.accepted << " rejected " << tally.rejected;
+}
+
+TEST(ReaderMutationTest, CompletionTableLoaderVerdictsArePinned) {
+  Tally tally;
+  uint64_t digest = MutationDigest(ReadCorpus("table.cpa"), 4, FoldTableVerdict, tally);
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_EQ(digest, 0xd90fabad1ba5fc63ULL) << std::hex << digest << std::dec << " accepted "
                             << tally.accepted << " rejected " << tally.rejected;
 }
 

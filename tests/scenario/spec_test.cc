@@ -29,7 +29,6 @@ name: everything
 seed: 9
 repeats: 2
 policy: jockey
-engine: calendar
 jitter_input: false
 hardened: true
 use_spare_tokens: false

@@ -301,8 +301,6 @@ TEST(CompletionTableCacheKeyTest, NonModelKnobsLeaveTheKeyUnchanged) {
           {"cache_dir", [](CompletionModelConfig& c) { c.cache_dir = "/elsewhere"; }},
           {"cache_max_bytes", [](CompletionModelConfig& c) { c.cache_max_bytes = 4096; }},
           {"observer", [&](CompletionModelConfig& c) { c.observer = Observer(&sink, &metrics); }},
-          {"event_engine",
-           [](CompletionModelConfig& c) { c.simulator.event_engine = EventEngine::kLegacyHeap; }},
       };
   for (const auto& [what, change] : changes) {
     CompletionModelConfig config = base_config;

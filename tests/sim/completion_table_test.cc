@@ -222,5 +222,44 @@ TEST(CompletionTableSerializeTest, LoadRejectsGarbageAndTruncation) {
   EXPECT_FALSE(CompletionTable::Load(empty).has_value());
 }
 
+// A header that promises more than the stream holds must be rejected before
+// anything is sized from it: a 36-byte blob (1 bucket, 1 allocation) that claims
+// 2^32 samples would otherwise size a 32 GiB sample buffer, and a 2^20 x 2^20
+// grid 2^40 cells.
+TEST(CompletionTableSerializeTest, LoadRejectsHeaderThatPromisesMoreThanTheStreamHolds) {
+  auto header = [](uint32_t buckets, uint32_t allocs, uint64_t buffer_size) {
+    std::string bytes = "JCKTBL01";
+    auto put = [&bytes](const auto& value) {
+      bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+    };
+    put(buckets);
+    put(allocs);
+    for (int32_t a = 1; a <= 2 && static_cast<uint32_t>(a) <= allocs; ++a) {
+      put(a);
+    }
+    put(uint64_t{0});  // total_samples
+    put(buffer_size);
+    return bytes;
+  };
+  std::string huge_buffer = header(1, 1, uint64_t{1} << 32);
+  ASSERT_EQ(huge_buffer.size(), 36u);
+  std::istringstream buffer_blob(huge_buffer, std::ios::binary);
+  EXPECT_FALSE(CompletionTable::Load(buffer_blob).has_value());
+
+  std::istringstream grid_blob(header(1u << 20, 1u << 20, 0), std::ios::binary);
+  EXPECT_FALSE(CompletionTable::Load(grid_blob).has_value());
+
+  // The same framing with its promised bytes present loads: one cell, one sample.
+  std::string complete = header(1, 1, 1);
+  const double sample = 7.0;
+  complete.append(reinterpret_cast<const char*>(&sample), sizeof(sample));
+  const uint64_t cell[2] = {0, 1};
+  complete.append(reinterpret_cast<const char*>(cell), sizeof(cell));
+  std::istringstream complete_blob(complete, std::ios::binary);
+  std::optional<CompletionTable> loaded = CompletionTable::Load(complete_blob);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_DOUBLE_EQ(loaded->Predict(0.5, 1, 0.5), 7.0);
+}
+
 }  // namespace
 }  // namespace jockey

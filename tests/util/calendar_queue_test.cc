@@ -1,7 +1,7 @@
 // Tests for the typed event engines (calendar_queue.h): the (when, insertion-seq)
-// determinism contract on both engines, calendar-specific behavior (overflow,
-// adaptive resize, epoch jumps), and a randomized lockstep differential against
-// the reference heap engine.
+// determinism contract, calendar-specific behavior (overflow, adaptive resize,
+// epoch jumps), and lockstep differentials against the reference heap engine on a
+// randomized interleaving and on the simulators' fleet-scale hold model.
 
 #include "src/util/calendar_queue.h"
 
@@ -35,28 +35,23 @@ TEST(HeapEventQueueTest, PopsInTimeOrderAndAdvancesNow) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(SimEventQueueTest, EqualTimeEventsFireInInsertionOrderOnBothEngines) {
-  for (EventEngine engine : {EventEngine::kCalendar, EventEngine::kLegacyHeap}) {
-    SCOPED_TRACE(EventEngineName(engine));
-    SimEventQueue<int> q(engine);
-    EXPECT_EQ(q.engine(), engine);
-    q.ScheduleAt(10.0, 1);
-    q.ScheduleAt(10.0, 2);
-    q.ScheduleAt(5.0, 0);
-    q.ScheduleAt(10.0, 3);
+TEST(CalendarQueueTest, EqualTimeEventsFireInInsertionOrder) {
+  CalendarQueue<int> q;
+  q.ScheduleAt(10.0, 1);
+  q.ScheduleAt(10.0, 2);
+  q.ScheduleAt(5.0, 0);
+  q.ScheduleAt(10.0, 3);
 
-    std::vector<int> order;
-    int out = -1;
-    while (q.PopNext(out)) {
-      order.push_back(out);
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(q.popped(), 4u);
+  std::vector<int> order;
+  int out = -1;
+  while (q.PopNext(out)) {
+    order.push_back(out);
   }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(SimEventQueueTest, ScheduleAfterIsRelativeToCurrentTime) {
-  SimEventQueue<int> q(EventEngine::kCalendar);
+TEST(CalendarQueueTest, ScheduleAfterIsRelativeToCurrentTime) {
+  CalendarQueue<int> q;
   q.ScheduleAfter(2.0, 1);
   int out = -1;
   ASSERT_TRUE(q.PopNext(out));
@@ -129,63 +124,110 @@ TEST(CalendarQueueTest, PeriodicRescheduleDuringDrainKeepsExactTimes) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueueTest, LockstepDifferentialAgainstHeapEngine) {
-  // Random interleaving of schedules and pops, mixing second-scale delays,
-  // hour-scale far-future tails, and exact-duplicate timestamps. Both engines
-  // must pop identical (payload, now) sequences throughout — the determinism
-  // contract the engine-differential simulation test relies on.
-  Rng rng(20260808);
-  CalendarQueue<int> cal;
-  HeapEventQueue<int> heap;
-  int next_id = 0;
-  double last_dup_when = 0.0;
-  for (int step = 0; step < 20000; ++step) {
-    double r = rng.Uniform();
-    if (r < 0.55) {
-      double delay;
-      double scale = rng.Uniform();
-      if (scale < 0.10) {
-        delay = rng.Uniform(0.0, 50000.0);  // far future: overflow path
-      } else if (scale < 0.25) {
-        delay = 0.0;  // immediate: same-bucket ties
-      } else {
-        delay = rng.Uniform(0.0, 30.0);
-      }
-      double when = cal.now() + delay;
-      if (scale >= 0.25 && scale < 0.35) {
-        when = std::max(cal.now(), last_dup_when);  // exact duplicate timestamp
-      }
-      last_dup_when = when;
-      cal.ScheduleAt(when, next_id);
-      heap.ScheduleAt(when, next_id);
-      ++next_id;
-    } else {
-      int a = -1;
-      int b = -1;
-      bool pa = cal.PopNext(a);
-      bool pb = heap.PopNext(b);
-      ASSERT_EQ(pa, pb) << "engines disagree on emptiness at step " << step;
-      if (pa) {
-        ASSERT_EQ(a, b) << "engines diverged at step " << step;
-        ASSERT_DOUBLE_EQ(cal.now(), heap.now());
-      }
-    }
+// Pops one event from each engine. They must agree on emptiness, and on the
+// (payload, now) pair of every event they fire.
+::testing::AssertionResult PopInLockstep(CalendarQueue<int>& cal, HeapEventQueue<int>& heap,
+                                         bool& popped) {
+  int a = -1;
+  int b = -1;
+  popped = cal.PopNext(a);
+  if (popped != heap.PopNext(b)) {
+    return ::testing::AssertionFailure() << "engines disagree on emptiness";
   }
-  // Drain the remainder in lockstep.
-  for (;;) {
-    int a = -1;
-    int b = -1;
-    bool pa = cal.PopNext(a);
-    bool pb = heap.PopNext(b);
-    ASSERT_EQ(pa, pb);
-    if (!pa) {
-      break;
-    }
-    ASSERT_EQ(a, b);
-    ASSERT_DOUBLE_EQ(cal.now(), heap.now());
+  if (popped && (a != b || cal.now() != heap.now())) {
+    return ::testing::AssertionFailure() << "engines diverged: calendar (" << a << ", " << cal.now()
+                                         << ") vs heap (" << b << ", " << heap.now() << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Drains both engines in lockstep.
+void DrainInLockstep(CalendarQueue<int>& cal, HeapEventQueue<int>& heap) {
+  for (bool popped = true; popped;) {
+    ASSERT_TRUE(PopInLockstep(cal, heap, popped));
   }
   EXPECT_TRUE(cal.empty());
   EXPECT_TRUE(heap.empty());
+}
+
+TEST(CalendarQueueTest, LockstepDifferentialAgainstHeapEngine) {
+  // Input 1: random interleaving of schedules and pops, mixing second-scale
+  // delays, hour-scale far-future tails, and exact-duplicate timestamps.
+  {
+    SCOPED_TRACE("random interleaving");
+    Rng rng(20260808);
+    CalendarQueue<int> cal;
+    HeapEventQueue<int> heap;
+    int next_id = 0;
+    double last_dup_when = 0.0;
+    for (int step = 0; step < 20000; ++step) {
+      double r = rng.Uniform();
+      if (r < 0.55) {
+        double delay;
+        double scale = rng.Uniform();
+        if (scale < 0.10) {
+          delay = rng.Uniform(0.0, 50000.0);  // far future: overflow path
+        } else if (scale < 0.25) {
+          delay = 0.0;  // immediate: same-bucket ties
+        } else {
+          delay = rng.Uniform(0.0, 30.0);
+        }
+        double when = cal.now() + delay;
+        if (scale >= 0.25 && scale < 0.35) {
+          when = std::max(cal.now(), last_dup_when);  // exact duplicate timestamp
+        }
+        last_dup_when = when;
+        cal.ScheduleAt(when, next_id);
+        heap.ScheduleAt(when, next_id);
+        ++next_id;
+      } else {
+        bool popped = false;
+        ASSERT_TRUE(PopInLockstep(cal, heap, popped)) << "at step " << step;
+      }
+    }
+    DrainInLockstep(cal, heap);
+  }
+
+  // Input 2: the simulators' traffic, as BENCH_sim.json's hold model drives it.
+  // ~128k resident events, each pop schedules one successor after an exponential
+  // 5 s gap with a 2% +120 s tail (recovery timers, speculation waits) and a 0.1%
+  // +3600 s tail (the machine-failure chain). The fill doubles the bucket count,
+  // the tails go through overflow migration, and the drain halves it back.
+  {
+    SCOPED_TRACE("fleet-scale hold model");
+    constexpr int kResident = 131072;
+    constexpr int kHoldSteps = 131072;
+    Rng rng(4242);
+    auto delay = [&rng]() {
+      double d = rng.Exponential(5.0);
+      double tail = rng.Uniform();
+      if (tail < 0.001) {
+        d += 3600.0;
+      } else if (tail < 0.02) {
+        d += 120.0;
+      }
+      return d;
+    };
+    CalendarQueue<int> cal;
+    HeapEventQueue<int> heap;
+    for (int id = 0; id < kResident; ++id) {
+      const double when = delay();
+      cal.ScheduleAt(when, id);
+      heap.ScheduleAt(when, id);
+    }
+    const size_t filled_buckets = cal.bucket_count();
+    EXPECT_GT(filled_buckets, 4096u) << "the fill never doubled the bucket count";
+    for (int step = 0; step < kHoldSteps; ++step) {
+      bool popped = false;
+      ASSERT_TRUE(PopInLockstep(cal, heap, popped)) << "at step " << step;
+      ASSERT_TRUE(popped);
+      const double when = cal.now() + delay();
+      cal.ScheduleAt(when, kResident + step);
+      heap.ScheduleAt(when, kResident + step);
+    }
+    DrainInLockstep(cal, heap);
+    EXPECT_LT(cal.bucket_count(), filled_buckets) << "the drain never halved the bucket count";
+  }
 }
 
 }  // namespace
